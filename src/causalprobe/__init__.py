@@ -15,6 +15,8 @@ ground-truth models.  The ``causalprobe`` command exposes both from the
 shell.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bayesnet import (
     MAX_EXACT_NODES,
     Cbn,
@@ -146,127 +148,9 @@ from .svgplot import histogram_svg, means_svg, scatter_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CausalProbeError",
-    "CapacityError",
-    "DataError",
-    "DegenerateNetworkError",
-    "EstimationError",
-    "GraphGenerationError",
-    "KnowledgeError",
-    "OrientationError",
-    "PipelineError",
-    # graphs
-    "Dag",
-    "random_dag",
-    "shd",
-    "is_weakly_connected",
-    "to_text",
-    "from_text",
-    "to_dot",
-    # causal Bayesian networks
-    "MAX_EXACT_NODES",
-    "Cbn",
-    "Cpd",
-    "JointTable",
-    "joint_distribution",
-    "intervene",
-    "mutilated",
-    "true_ate",
-    "random_cpds",
-    "sample",
-    "to_json",
-    "from_json",
-    # datasets
-    "RawDataset",
-    "BinaryDataset",
-    "read_csv",
-    "write_csv",
-    "binarize",
-    "drop_columns",
-    "to_binary",
-    "counts",
-    # discovery
-    "Knowledge",
-    "parse_knowledge",
-    "format_knowledge",
-    "Cpdag",
-    "bic_score",
-    "total_bic",
-    "dag_to_cpdag",
-    "ges",
-    "orient_to_dag",
-    "pick_hint_edges",
-    # estimation
-    "METHOD_LINEAR",
-    "METHOD_STRATIFIED",
-    "METHOD_TRIVIAL_ZERO",
-    "AteEstimate",
-    "adjustment_set",
-    "estimate_ate_linear",
-    "estimate_ate_stratified",
-    # probing
-    "Point",
-    "Interval",
-    "GreaterThan",
-    "LessThan",
-    "NonZero",
-    "ProbeSpec",
-    "ProbeResult",
-    "ValidationReport",
-    "evaluate_probe",
-    "hit_rate",
-    "validate",
-    "format_expectation",
-    "format_probes",
-    "parse_probes",
-    # pipeline
-    "AnalysisConfig",
-    "AnalysisResult",
-    "Binarize",
-    "DropColumns",
-    "GraphEdit",
-    "apply_graph_edits",
-    "run_end_to_end",
-    "report_to_json",
-    "report_to_text",
-    # sprinkler fixture
-    "SPRINKLER_TARGET",
-    "correct_knowledge",
-    "flipped_knowledge",
-    "oracle_target_ate",
-    "run_sprinkler_demo",
-    "sprinkler_config",
-    "sprinkler_data",
-    "sprinkler_net",
-    "sprinkler_probes",
-    # simulation studies
-    "SimParams",
-    "RunRecord",
-    "ProbeDetail",
-    "AggRow",
-    "TrendStat",
-    "RUNS_CSV_COLUMNS",
-    "AGG_CSV_COLUMNS",
-    "splitmix64",
-    "derive_seed",
-    "simulate_run",
-    "run_study",
-    "aggregate",
-    "filter_connected",
-    "filter_outliers",
-    "spearman",
-    "trend_stat",
-    "read_runs_csv",
-    "write_runs_csv",
-    "read_runs_jsonl",
-    "write_runs_jsonl",
-    "read_agg_csv",
-    "write_agg_csv",
-    # plotting
-    "scatter_svg",
-    "means_svg",
-    "histogram_svg",
-]
+# Every public name imported above is exported; submodules are not.
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -4,8 +4,9 @@ Subcommands: simulate (run a study), aggregate (per-hit-rate table or
 outlier listing), plot (static SVG charts), demo-sprinkler (the worked
 five-variable example), analyze (end-to-end analysis of a user dataset).
 
-Exit codes: 0 success, 1 I/O or data failure, 2 usage error, 3 analysis
-completed but at least one probe failed.
+Exit codes: 0 success, 1 I/O or data failure, 2 usage error (including
+unknown target, probe or knowledge columns, which the pipeline's config
+stage reports), 3 analysis completed but at least one probe failed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .sim import (
     AggRow,
     RunRecord,
     SimParams,
+    _atomic_write,
     aggregate,
     filter_connected,
     filter_outliers,
@@ -124,13 +126,6 @@ def _params_from(args: argparse.Namespace) -> SimParams:
         return SimParams(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -240,7 +235,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     output = spec.output
     if not os.path.isabs(output) and os.path.dirname(output) == "":
         output = os.path.join(args.out_dir, output)
-    _atomic_write_text(output, svg)
+    _atomic_write(output, svg)
     print(f"wrote {output}")
     return 0
 
@@ -259,31 +254,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     target = (parts[0].strip(), parts[1].strip())
 
     data = read_csv(args.data_csv)
-    known = set(data.columns)
 
     with open(args.probes, "r", encoding="utf-8") as fh:
         probe_specs = parse_probes(fh.read())
     if not probe_specs:
         raise UsageError(f"{args.probes}: no probes defined")
-    for spec in probe_specs:
-        for name in (spec.treatment, spec.outcome):
-            if name not in known:
-                raise UsageError(
-                    f"{args.probes}: unknown column {name!r}"
-                )
-    for name in target:
-        if name not in known:
-            raise UsageError(f"--target: unknown column {name!r}")
 
     knowledge = Knowledge()
     if args.knowledge is not None:
         with open(args.knowledge, "r", encoding="utf-8") as fh:
             knowledge = parse_knowledge(fh.read())
-        for name in knowledge.node_names():
-            if name not in known:
-                raise UsageError(
-                    f"{args.knowledge}: unknown column {name!r}"
-                )
 
     cfg = AnalysisConfig(
         target=target,
@@ -293,7 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     result = run_end_to_end(data, cfg)
     json_path = os.path.join(args.out_dir, "report.json")
-    _atomic_write_text(json_path, report_to_json(result))
+    _atomic_write(json_path, report_to_json(result))
     sys.stdout.write(report_to_text(result))
     print(f"wrote {json_path}")
     return 0 if result.report.hit_rate == 1.0 else 3
@@ -419,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if exc.stage == "config" else 1
     except (OSError, ValueError, CausalProbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

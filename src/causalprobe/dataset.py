@@ -213,6 +213,16 @@ def to_binary(data: RawDataset) -> BinaryDataset:
     return BinaryDataset(data.columns, arr)
 
 
+def state_index(columns: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """Per-row joint state of 0/1 columns as int64, the first column being
+    the most significant bit."""
+    idx = np.zeros(size, dtype=np.int64)
+    for col in columns:
+        idx <<= 1
+        idx |= col
+    return idx
+
+
 def counts(data: BinaryDataset, variables: Sequence[str]) -> np.ndarray:
     """Joint occurrence counts over the given variables.
 
@@ -228,8 +238,5 @@ def counts(data: BinaryDataset, variables: Sequence[str]) -> np.ndarray:
             f"counts over {len(variables)} variables exceeds the "
             f"{MAX_COUNT_VARIABLES}-variable limit"
         )
-    k = len(variables)
-    idx = np.zeros(data.n_rows, dtype=np.int64)
-    for pos, name in enumerate(variables):
-        idx |= data.column(name).astype(np.int64) << (k - 1 - pos)
-    return np.bincount(idx, minlength=1 << k).astype(np.int64)
+    idx = state_index((data.column(v) for v in variables), data.n_rows)
+    return np.bincount(idx, minlength=1 << len(variables)).astype(np.int64)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset
+from .dataset import BinaryDataset, state_index
 from .errors import CapacityError, DataError, KnowledgeError, OrientationError
 from .graph import Dag
 
@@ -58,29 +58,14 @@ class Knowledge:
                 raise KnowledgeError(
                     f"both directions required between {a!r} and {b!r}"
                 )
-        self._check_required_acyclic(req)
+        nodes = sorted({x for edge in req for x in edge})
+        index = {x: i for i, x in enumerate(nodes)}
+        try:
+            Dag(nodes, [(index[a], index[b]) for a, b in req])
+        except ValueError:
+            raise KnowledgeError("required edges form a cycle") from None
         object.__setattr__(self, "required", req)
         object.__setattr__(self, "forbidden", forb)
-
-    @staticmethod
-    def _check_required_acyclic(req: frozenset[tuple[str, str]]) -> None:
-        nodes = sorted({x for edge in req for x in edge})
-        indeg = {v: 0 for v in nodes}
-        children: dict[str, list[str]] = {v: [] for v in nodes}
-        for a, b in req:
-            children[a].append(b)
-            indeg[b] += 1
-        ready = [v for v in nodes if indeg[v] == 0]
-        removed = 0
-        while ready:
-            v = ready.pop()
-            removed += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if removed != len(nodes):
-            raise KnowledgeError("required edges form a cycle")
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Knowledge is immutable")
@@ -211,13 +196,7 @@ class Cpdag:
 
     def v_structures(self) -> frozenset[tuple[int, int, int]]:
         """Unshielded colliders (x, z, y) with x < y, x -> z <- y."""
-        skel = self.skeleton()
-        out = set()
-        for z in range(self.n):
-            for x, y in itertools.combinations(sorted(self.parents(z)), 2):
-                if (x, y) not in skel:
-                    out.add((x, z, y))
-        return frozenset(out)
+        return _colliders(self.n, self.directed, self.skeleton())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cpdag):
@@ -245,7 +224,7 @@ class _Scorer:
             raise DataError("scoring needs at least one row")
         if penalty <= 0:
             raise ValueError("penalty must be positive")
-        self.cols = data.values.astype(np.int64)
+        self.values = data.values
         self.m = data.n_rows
         self.log_m = math.log(self.m)
         self.penalty = float(penalty)
@@ -262,10 +241,8 @@ class _Scorer:
                 f"scoring with {k} parents exceeds the "
                 f"{MAX_SCORE_PARENTS}-parent limit"
             )
-        idx = np.zeros(self.m, dtype=np.int64)
-        for pos, p in enumerate(sorted(parents)):
-            idx |= self.cols[:, p] << (k - pos)
-        idx |= self.cols[:, node]
+        columns = [self.values[:, p] for p in sorted(parents)]
+        idx = state_index([*columns, self.values[:, node]], self.m)
         cnt = np.bincount(idx, minlength=1 << (k + 1))
         n0 = cnt[0::2].astype(np.float64)
         n1 = cnt[1::2].astype(np.float64)
@@ -326,6 +303,22 @@ def total_bic(data: BinaryDataset, graph: Dag, penalty: float = 1.0) -> float:
 
 def _und_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
+
+
+def _colliders(
+    n: int, directed: Iterable[tuple[int, int]], skeleton: set
+) -> frozenset[tuple[int, int, int]]:
+    """Unshielded colliders (x, z, y), x < y: x -> z <- y with x and y
+    nonadjacent in ``skeleton`` (a set of (low, high) pairs)."""
+    parents: list[list[int]] = [[] for _ in range(n)]
+    for a, b in directed:
+        parents[b].append(a)
+    return frozenset(
+        (x, z, y)
+        for z in range(n)
+        for x, y in itertools.combinations(sorted(parents[z]), 2)
+        if (x, y) not in skeleton
+    )
 
 
 def _orient(directed: set, undirected: set, a: int, b: int) -> None:
@@ -451,18 +444,10 @@ def _consistent_extension(n: int, directed: set, undirected: set) -> set:
 def _dag_to_pattern(n: int, dag_edges: set) -> tuple[set, set]:
     """Equivalence-class pattern of a DAG: v-structures stay directed, then
     the orientation rules propagate; everything else is undirected."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    parents: list[set[int]] = [set() for _ in range(n)]
-    for a, b in dag_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-        parents[b].add(a)
-    directed: set = set()
-    for z in range(n):
-        for x, y in itertools.combinations(sorted(parents[z]), 2):
-            if y not in adj[x]:
-                directed.add((x, z))
-                directed.add((y, z))
+    skeleton = {_und_pair(a, b) for a, b in dag_edges}
+    directed = {
+        (p, z) for x, z, y in _colliders(n, dag_edges, skeleton) for p in (x, y)
+    }
     undirected = {_und_pair(a, b) for a, b in dag_edges if (a, b) not in directed}
     _meek_closure(n, directed, undirected)
     return directed, undirected
@@ -474,22 +459,38 @@ def dag_to_cpdag(graph: Dag) -> Cpdag:
     return Cpdag(graph.labels, directed, undirected)
 
 
+def _knowledge_edges(
+    knowledge: Knowledge, labels: Sequence[str], what: str
+) -> tuple[set, set]:
+    """Required and forbidden edges as index pairs into ``labels``."""
+    unknown = knowledge.node_names() - set(labels)
+    if unknown:
+        raise KnowledgeError(
+            f"knowledge references unknown {what}: {sorted(unknown)}"
+        )
+    index = {lab: i for i, lab in enumerate(labels)}
+    return (
+        {(index[a], index[b]) for a, b in knowledge.required},
+        {(index[a], index[b]) for a, b in knowledge.forbidden},
+    )
+
+
 def _apply_knowledge_orientations(
-    n: int, directed: set, undirected: set, required: set, forbidden: set
+    labels: Sequence[str], directed: set, undirected: set, required: set, forbidden: set
 ) -> None:
+    """Orient required edges, then undirected edges forbidden one way only."""
     for a, b in sorted(required):
+        edge = f"required edge {labels[a]}->{labels[b]}"
         if (b, a) in directed:
             raise OrientationError(
-                f"required edge {a}->{b} is directed the other way in the pattern"
+                f"{edge} is directed the other way in the pattern"
             )
         if (a, b) in directed:
             continue
         if _und_pair(a, b) in undirected:
             _orient(directed, undirected, a, b)
         else:
-            raise OrientationError(
-                f"required edge {a}->{b} has no adjacency in the pattern"
-            )
+            raise OrientationError(f"{edge} has no adjacency in the pattern")
     for a, b in sorted(undirected):
         lo_hi = (a, b) in forbidden
         hi_lo = (b, a) in forbidden
@@ -500,13 +501,14 @@ def _apply_knowledge_orientations(
 
 
 def _rebuild(
-    n: int, directed: set, undirected: set, required: set, forbidden: set
+    labels: Sequence[str], directed: set, undirected: set, required: set, forbidden: set
 ) -> tuple[set, set]:
     """Canonical pattern after an operator: re-derive the equivalence class,
     re-apply knowledge orientations, and close under the orientation rules."""
+    n = len(labels)
     extension = _consistent_extension(n, directed, undirected)
     d2, u2 = _dag_to_pattern(n, extension)
-    _apply_knowledge_orientations(n, d2, u2, required, forbidden)
+    _apply_knowledge_orientations(labels, d2, u2, required, forbidden)
     _meek_closure(n, d2, u2)
     return d2, u2
 
@@ -561,21 +563,16 @@ def ges(
     if knowledge is None:
         knowledge = Knowledge()
     labels = data.columns
-    index = {lab: i for i, lab in enumerate(labels)}
-    unknown = knowledge.node_names() - set(labels)
-    if unknown:
-        raise KnowledgeError(
-            f"knowledge references unknown columns: {sorted(unknown)}"
-        )
+    required, forbidden = _knowledge_edges(knowledge, labels, "columns")
     n = len(labels)
-    required = {(index[a], index[b]) for a, b in knowledge.required}
-    forbidden = {(index[a], index[b]) for a, b in knowledge.forbidden}
     scorer = _Scorer(data, penalty)
 
     directed: set = set(required)
     undirected: set = set()
     if required:
-        directed, undirected = _rebuild(n, directed, undirected, required, forbidden)
+        directed, undirected = _rebuild(
+            labels, directed, undirected, required, forbidden
+        )
 
     def pattern_views():
         adj = _adjacency(n, directed, undirected)
@@ -628,7 +625,9 @@ def ges(
             for u in t:
                 _orient(d_try, u_try, u, y)
             try:
-                directed, undirected = _rebuild(n, d_try, u_try, required, forbidden)
+                directed, undirected = _rebuild(
+                    labels, d_try, u_try, required, forbidden
+                )
             except OrientationError:
                 continue
             applied = True
@@ -685,7 +684,9 @@ def ges(
                 if _und_pair(x, u) in u_try:
                     _orient(d_try, u_try, x, u)
             try:
-                directed, undirected = _rebuild(n, d_try, u_try, required, forbidden)
+                directed, undirected = _rebuild(
+                    labels, d_try, u_try, required, forbidden
+                )
             except OrientationError:
                 continue
             applied = True
@@ -699,7 +700,8 @@ def ges(
 def orient_to_dag(pattern: Cpdag, knowledge: Knowledge | None = None) -> Dag:
     """Commit a pattern to a single DAG.
 
-    Required edges are oriented first, then the orientation rules are closed;
+    Knowledge is applied first (required edges, then undirected edges
+    forbidden in one direction), then the orientation rules are closed;
     remaining undirected edges are oriented lexicographically smallest first,
     low index to high index, re-closing after each. The result is a consistent
     extension: acyclic, same skeleton, same unshielded colliders. Raises
@@ -708,32 +710,12 @@ def orient_to_dag(pattern: Cpdag, knowledge: Knowledge | None = None) -> Dag:
     if knowledge is None:
         knowledge = Knowledge()
     labels = pattern.labels
-    index = {lab: i for i, lab in enumerate(labels)}
-    unknown = {x for a, b in knowledge.required for x in (a, b)} - set(labels)
-    if unknown:
-        raise KnowledgeError(
-            f"knowledge references unknown nodes: {sorted(unknown)}"
-        )
+    required, forbidden = _knowledge_edges(knowledge, labels, "nodes")
     n = pattern.n
     directed = set(pattern.directed)
     undirected = set(pattern.undirected)
     before_colliders = pattern.v_structures()
-
-    for a, b in sorted((index[a], index[b]) for a, b in knowledge.required):
-        if (b, a) in directed:
-            raise OrientationError(
-                f"required edge {labels[a]}->{labels[b]} is directed the "
-                "other way in the pattern"
-            )
-        if (a, b) in directed:
-            continue
-        if _und_pair(a, b) in undirected:
-            _orient(directed, undirected, a, b)
-        else:
-            raise OrientationError(
-                f"required edge {labels[a]}->{labels[b]} has no adjacency "
-                "in the pattern"
-            )
+    _apply_knowledge_orientations(labels, directed, undirected, required, forbidden)
     _meek_closure(n, directed, undirected)
     while undirected:
         a, b = min(undirected)
@@ -752,13 +734,8 @@ def orient_to_dag(pattern: Cpdag, knowledge: Knowledge | None = None) -> Dag:
 
 def dagv_structures(graph: Dag) -> frozenset[tuple[int, int, int]]:
     """Unshielded colliders (x, z, y) of a DAG, with x < y."""
-    skel = {(min(a, b), max(a, b)) for a, b in graph.edges}
-    out = set()
-    for z in range(graph.n):
-        for x, y in itertools.combinations(sorted(graph.parents(z)), 2):
-            if (x, y) not in skel:
-                out.add((x, z, y))
-    return frozenset(out)
+    skeleton = {_und_pair(a, b) for a, b in graph.edges}
+    return _colliders(graph.n, graph.edges, skeleton)
 
 
 def pick_hint_edges(

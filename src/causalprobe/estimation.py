@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset
+from .dataset import BinaryDataset, state_index
 from .errors import CapacityError, EstimationError
 from .graph import Dag
 
@@ -137,15 +137,10 @@ def estimate_ate_stratified(
         )
     _require_columns(data, [treatment, outcome, *adjust])
     m = data.n_rows
-    k = len(adjust)
-    stratum = np.zeros(m, dtype=np.int64)
-    for pos, name in enumerate(adjust):
-        stratum |= data.column(name).astype(np.int64) << (k - 1 - pos)
-    t_col = data.column(treatment).astype(np.int64)
     o_col = data.column(outcome).astype(np.int64)
-    n_strata = 1 << k
+    n_strata = 1 << len(adjust)
     # cell index: (stratum, t); count rows and outcome successes per cell
-    cell = stratum * 2 + t_col
+    cell = state_index((data.column(c) for c in [*adjust, treatment]), m)
     n = np.bincount(cell, minlength=2 * n_strata).astype(np.float64)
     n_o = np.bincount(cell, weights=o_col, minlength=2 * n_strata)
     n0, n1 = n[0::2], n[1::2]

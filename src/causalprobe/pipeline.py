@@ -182,13 +182,14 @@ def _preprocess(data, steps) -> BinaryDataset:
 
 def _check_names(data: BinaryDataset, cfg: AnalysisConfig) -> None:
     known = set(data.columns)
-    for name in cfg.target:
+    named = [("target", name) for name in cfg.target]
+    named += [
+        ("probe", name) for s in cfg.probes for name in (s.treatment, s.outcome)
+    ]
+    named += [("knowledge", name) for name in sorted(cfg.knowledge.node_names())]
+    for what, name in named:
         if name not in known:
-            raise DataError(f"target names unknown column {name!r}")
-    for spec in cfg.probes:
-        for name in (spec.treatment, spec.outcome):
-            if name not in known:
-                raise DataError(f"probe names unknown column {name!r}")
+            raise DataError(f"{what} names unknown column {name!r}")
 
 
 def run_end_to_end(data, cfg: AnalysisConfig) -> AnalysisResult:

@@ -106,7 +106,6 @@ class ProbeResult:
     spec: ProbeSpec
     estimate: AteEstimate
     passed: bool
-    truth: float | None = None
 
     def __post_init__(self):
         if self.passed != evaluate_probe(self.spec, self.estimate.value):
@@ -142,13 +141,11 @@ def validate(
     target: AteEstimate,
     probe_estimates: Sequence[AteEstimate],
     specs: Sequence[ProbeSpec],
-    truths: Sequence[float] | None = None,
 ) -> ValidationReport:
     """Assemble a validation report: one estimate per probe spec.
 
     The target estimate is carried through untouched; validation never
-    changes estimation. ``truths`` optionally attaches the known true effect
-    per probe (simulation mode).
+    changes estimation.
     """
     probe_estimates = tuple(probe_estimates)
     specs = tuple(specs)
@@ -156,23 +153,14 @@ def validate(
         raise ValueError(
             f"{len(specs)} probe specs but {len(probe_estimates)} estimates"
         )
-    if truths is not None and len(tuple(truths)) != len(specs):
-        raise ValueError("one truth per probe spec required")
     results = []
-    for i, (spec, est) in enumerate(zip(specs, probe_estimates)):
+    for spec, est in zip(specs, probe_estimates):
         if (est.treatment, est.outcome) != (spec.treatment, spec.outcome):
             raise ValueError(
                 f"probe {spec.treatment}->{spec.outcome} paired with "
                 f"estimate {est.treatment}->{est.outcome}"
             )
-        results.append(
-            ProbeResult(
-                spec,
-                est,
-                evaluate_probe(spec, est.value),
-                None if truths is None else float(tuple(truths)[i]),
-            )
-        )
+        results.append(ProbeResult(spec, est, evaluate_probe(spec, est.value)))
     return ValidationReport(target, tuple(results), hit_rate(results))
 
 

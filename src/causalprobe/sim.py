@@ -545,12 +545,8 @@ def write_runs_csv(path: str, records: Sequence[RunRecord]) -> None:
 
 def read_runs_csv(path: str) -> list[RunRecord]:
     """Rebuild records from the flat CSV; graph and probe detail stay empty."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != RUNS_CSV_COLUMNS:
         raise DataError(f"{path}: not a runs.csv file")
     records = []

@@ -298,6 +298,16 @@ class TestOrientToDag:
         with pytest.raises(OrientationError):
             orient_to_dag(p, Knowledge(required=[("a", "b")]))
 
+    def test_forbidden_direction_is_not_chosen(self):
+        p = Cpdag("ab", undirected=[(0, 1)])
+        k = Knowledge(forbidden=[("a", "b")])
+        assert orient_to_dag(p, k) == Dag("ab", [(1, 0)])
+
+    def test_forbidden_edge_naming_unknown_node_rejected(self):
+        p = Cpdag("ab", undirected=[(0, 1)])
+        with pytest.raises(KnowledgeError):
+            orient_to_dag(p, Knowledge(forbidden=[("a", "zz")]))
+
 
 class TestGes:
     def test_chain_recovers_class(self):

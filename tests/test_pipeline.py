@@ -6,7 +6,7 @@ import pytest
 from causalprobe.bayesnet import Cbn, Cpd, sample, true_ate
 from causalprobe.dataset import BinaryDataset, RawDataset
 from causalprobe.discovery import Knowledge
-from causalprobe.errors import DataError, KnowledgeError, PipelineError
+from causalprobe.errors import DataError, PipelineError
 from causalprobe.estimation import METHOD_TRIVIAL_ZERO
 from causalprobe.graph import Dag, shd
 from causalprobe.pipeline import (
@@ -234,12 +234,20 @@ class TestStageAnnotation:
         assert exc.value.stage == "config"
         assert "ghost" in str(exc.value)
 
-    def test_discovery_stage_error(self):
+    def test_unknown_knowledge_column(self):
         cfg = chain_config(knowledge=Knowledge(required=[("x0", "nope")]))
         with pytest.raises(PipelineError) as exc:
             run_end_to_end(chain_data(m=100), cfg)
+        assert exc.value.stage == "config"
+        assert "nope" in str(exc.value)
+
+    def test_discovery_stage_error(self):
+        # Every name is known, but there are no rows to score.
+        empty = BinaryDataset(["x0", "x1", "x2"], np.zeros((0, 3)))
+        with pytest.raises(PipelineError) as exc:
+            run_end_to_end(empty, chain_config())
         assert exc.value.stage == "discovery"
-        assert isinstance(exc.value.cause, KnowledgeError)
+        assert isinstance(exc.value.cause, DataError)
 
     def test_graph_edit_stage_error(self):
         cfg = chain_config(graph_edits=(GraphEdit("remove", "x2", "x0"),))

@@ -161,19 +161,6 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(est("x", "y", 1.0), [est("t", "zz", 1.0)], [spec()])
 
-    def test_truths_attached(self):
-        report = validate(
-            est("x", "y", 1.0),
-            [est("t", "o", 0.5)],
-            [spec()],
-            truths=[0.4375],
-        )
-        assert report.probes[0].truth == 0.4375
-
-    def test_truths_length_checked(self):
-        with pytest.raises(ValueError):
-            validate(est("x", "y", 1.0), [est("t", "o", 0.5)], [spec()], truths=[])
-
     def test_pure_and_reproducible(self):
         specs = [spec(), spec("t", "o2", Point(0.1, 0.2))]
         estimates = [est("t", "o", 0.5), est("t", "o2", 0.15)]
