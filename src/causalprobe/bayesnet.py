@@ -75,9 +75,13 @@ class Cpd:
 
 
 class Cbn:
-    """A DAG plus one CPD per node, checked for mutual consistency."""
+    """A DAG plus one CPD per node, checked for mutual consistency.
 
-    __slots__ = ("graph", "cpds")
+    ``_effect_rows`` memoizes :func:`true_ate` per treatment index; it is
+    derived from the graph and CPDs, so equality ignores it.
+    """
+
+    __slots__ = ("graph", "cpds", "_effect_rows")
 
     def __init__(self, graph: Dag, cpds: Iterable[Cpd]):
         cpds = tuple(cpds)
@@ -103,6 +107,7 @@ class Cbn:
         ordered = tuple(by_node[lab] for lab in graph.labels)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cpds", ordered)
+        object.__setattr__(self, "_effect_rows", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Cbn is immutable")
@@ -181,26 +186,37 @@ def _parent_state_index(cpd: Cpd, graph: Dag, states: np.ndarray) -> np.ndarray:
     return idx
 
 
-def joint_distribution(net: Cbn) -> JointTable:
-    """Exact joint table by multiplying the factorized CPDs over all states.
-
-    Raises CapacityError above 25 nodes; the table would exceed 2**25 cells.
-    """
+def _all_states(net: Cbn) -> np.ndarray:
+    """Every joint state of the network; CapacityError above 25 nodes."""
     n = net.graph.n
     if n > MAX_EXACT_NODES:
         raise CapacityError(
             f"exact joint over {n} nodes exceeds the {MAX_EXACT_NODES}-node limit"
         )
-    states = np.arange(1 << n, dtype=np.int64)
-    probs = np.ones(1 << n, dtype=np.float64)
-    for v in range(n):
+    return np.arange(1 << n, dtype=np.int64)
+
+
+def _factor_product(net: Cbn, skip: int | None, states: np.ndarray) -> np.ndarray:
+    """Product over ``states`` of every node's CPD factor except ``skip``'s."""
+    probs = np.ones(states.shape, dtype=np.float64)
+    for v in range(net.graph.n):
+        if v == skip:
+            continue
         cpd = net.cpds[v]
         p_one = np.asarray(cpd.table, dtype=np.float64)[
             _parent_state_index(cpd, net.graph, states)
         ]
         value = (states >> v) & 1
         probs *= np.where(value == 1, p_one, 1.0 - p_one)
-    return JointTable(net.graph.labels, probs)
+    return probs
+
+
+def joint_distribution(net: Cbn) -> JointTable:
+    """Exact joint table by multiplying the factorized CPDs over all states.
+
+    Raises CapacityError above 25 nodes; the table would exceed 2**25 cells.
+    """
+    return JointTable(net.graph.labels, _factor_product(net, None, _all_states(net)))
 
 
 def intervene(net: Cbn, treatment: str, value: int) -> JointTable:
@@ -212,23 +228,11 @@ def intervene(net: Cbn, treatment: str, value: int) -> JointTable:
     if value not in (0, 1):
         raise ValueError("intervention value must be 0 or 1")
     t = net.graph.index(treatment)
-    n = net.graph.n
-    if n > MAX_EXACT_NODES:
-        raise CapacityError(
-            f"exact joint over {n} nodes exceeds the {MAX_EXACT_NODES}-node limit"
-        )
-    states = np.arange(1 << n, dtype=np.int64)
-    probs = np.where(((states >> t) & 1) == value, 1.0, 0.0)
-    for v in range(n):
-        if v == t:
-            continue
-        cpd = net.cpds[v]
-        p_one = np.asarray(cpd.table, dtype=np.float64)[
-            _parent_state_index(cpd, net.graph, states)
-        ]
-        val = (states >> v) & 1
-        probs *= np.where(val == 1, p_one, 1.0 - p_one)
-    return JointTable(net.graph.labels, probs)
+    states = _all_states(net)
+    prod = _factor_product(net, t, states)
+    return JointTable(
+        net.graph.labels, np.where(((states >> t) & 1) == value, prod, 0.0)
+    )
 
 
 def mutilated(net: Cbn, treatment: str, value: int) -> Cbn:
@@ -246,16 +250,49 @@ def mutilated(net: Cbn, treatment: str, value: int) -> Cbn:
     return Cbn(new_graph, new_cpds)
 
 
+def _effect_row(net: Cbn, t: int) -> tuple[float, ...]:
+    """Exact effect of do(node t) on every node, 0.0 where no directed path
+    leads from t.
+
+    One product of every CPD factor but t's serves both arms: do(t = 1)
+    keeps its entries where t is 1, do(t = 0) where t is 0, exactly as
+    :func:`intervene` builds them.
+    """
+    labels = net.graph.labels
+    reached = sorted(net.graph.descendants(t))
+    states = _all_states(net)
+    prod = _factor_product(net, t, states)
+    bit_t = ((states >> t) & 1) == 1
+    # Each of these is a full 2**n table: keep one arm alive at a time.
+    del states
+    do_one = JointTable(labels, np.where(bit_t, prod, 0.0))
+    p_one = [do_one.marginal(labels[o]) for o in reached]
+    del do_one
+    do_zero = JointTable(labels, np.where(bit_t, 0.0, prod))
+    row = [0.0] * net.graph.n
+    for o, p in zip(reached, p_one):
+        row[o] = p - do_zero.marginal(labels[o])
+    return tuple(row)
+
+
 def true_ate(net: Cbn, treatment: str, outcome: str) -> float:
     """Average treatment effect p(outcome=1 | do(t=1)) - p(outcome=1 | do(t=0)).
 
-    Computed exactly from the truncated factorization.
+    Computed exactly from the truncated factorization, and exactly 0.0 when
+    no directed path leads from treatment to outcome. The effects of one
+    treatment on every node are computed together on first use and kept
+    with the network.
     """
     if treatment == outcome:
         raise ValueError("treatment and outcome must differ")
-    return intervene(net, treatment, 1).marginal(outcome) - intervene(
-        net, treatment, 0
-    ).marginal(outcome)
+    g = net.graph
+    t, o = g.index(treatment), g.index(outcome)
+    if not g.has_directed_path(t, o):
+        return 0.0
+    row = net._effect_rows.get(t)
+    if row is None:
+        row = net._effect_rows[t] = _effect_row(net, t)
+    return row[o]
 
 
 def random_cpds(graph: Dag, rng: np.random.Generator) -> Cbn:

@@ -235,7 +235,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     output = spec.output
     if not os.path.isabs(output) and os.path.dirname(output) == "":
         output = os.path.join(args.out_dir, output)
-    _atomic_write(output, svg)
+    _atomic_write(output, [svg])
     print(f"wrote {output}")
     return 0
 
@@ -273,7 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     result = run_end_to_end(data, cfg)
     json_path = os.path.join(args.out_dir, "report.json")
-    _atomic_write(json_path, report_to_json(result))
+    _atomic_write(json_path, [report_to_json(result)])
     sys.stdout.write(report_to_text(result))
     print(f"wrote {json_path}")
     return 0 if result.report.hit_rate == 1.0 else 3

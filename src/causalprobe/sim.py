@@ -10,14 +10,17 @@ and parallelizes without affecting its output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,7 +118,7 @@ class SimParams:
             raise ValueError("penalty must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeDetail:
     """Per-probe outcome kept in the JSON-lines sidecar."""
 
@@ -126,7 +129,7 @@ class ProbeDetail:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """Everything one simulation run produced."""
 
@@ -518,29 +521,36 @@ def _parse_cell(column: str, text: str):
         raise DataError(f"bad number {text!r} in column {column!r}") from None
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temporary file, then rename it over ``path``."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
-def _csv_text(columns, rows) -> str:
-    import io
-
+def _csv_lines(columns, rows) -> Iterator[str]:
+    """The CSV text of the header and ``rows``, one line at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for row in itertools.chain([columns], rows):
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
 def write_runs_csv(path: str, records: Sequence[RunRecord]) -> None:
-    rows = [
+    rows = (
         [_format_cell(getattr(r, c)) for c in RUNS_CSV_COLUMNS]
         for r in records
-    ]
-    _atomic_write(path, _csv_text(RUNS_CSV_COLUMNS, rows))
+    )
+    _atomic_write(path, _csv_lines(RUNS_CSV_COLUMNS, rows))
 
 
 def read_runs_csv(path: str) -> list[RunRecord]:
@@ -560,23 +570,45 @@ def read_runs_csv(path: str) -> list[RunRecord]:
     return records
 
 
+# Float fields whose null in runs.jsonl (a missing value, NaN) reads back as NaN.
+_RECORD_FLOATS = frozenset(f.name for f in fields(RunRecord) if f.type == "float")
+_PROBE_FLOATS = frozenset(f.name for f in fields(ProbeDetail) if f.type == "float")
+
+
+def _nan_to_null(d: dict) -> dict:
+    return {
+        k: None if isinstance(v, float) and math.isnan(v) else v
+        for k, v in d.items()
+    }
+
+
+def _null_to_nan(d: dict, floats: frozenset) -> dict:
+    return {k: math.nan if v is None and k in floats else v for k, v in d.items()}
+
+
 def _record_to_dict(r: RunRecord) -> dict:
-    d = asdict(r)
-    d["probes"] = [asdict(p) for p in r.probes]
+    d = _nan_to_null(asdict(r))
+    d["probes"] = [_nan_to_null(asdict(p)) for p in r.probes]
     return d
 
 
 def _record_from_dict(d: dict) -> RunRecord:
-    d = dict(d)
-    d["probes"] = tuple(ProbeDetail(**p) for p in d.get("probes", ()))
+    d = _null_to_nan(d, _RECORD_FLOATS)
+    d["probes"] = tuple(
+        ProbeDetail(**_null_to_nan(p, _PROBE_FLOATS)) for p in d.get("probes", ())
+    )
     return RunRecord(**d)
 
 
 def write_runs_jsonl(path: str, records: Sequence[RunRecord]) -> None:
-    lines = [
-        json.dumps(_record_to_dict(r), sort_keys=True) for r in records
-    ]
-    _atomic_write(path, "".join(line + "\n" for line in lines))
+    """One strict-JSON object per run; a missing (NaN) value is written as null."""
+    _atomic_write(
+        path,
+        (
+            json.dumps(_record_to_dict(r), sort_keys=True, allow_nan=False) + "\n"
+            for r in records
+        ),
+    )
 
 
 def read_runs_jsonl(path: str) -> list[RunRecord]:
@@ -588,17 +620,17 @@ def read_runs_jsonl(path: str) -> list[RunRecord]:
                 continue
             try:
                 records.append(_record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+            except (json.JSONDecodeError, TypeError, KeyError, AttributeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records
 
 
 def write_agg_csv(path: str, rows: Sequence[AggRow]) -> None:
-    table = [
+    table = (
         [_format_cell(getattr(row, c)) for c in AGG_CSV_COLUMNS]
         for row in rows
-    ]
-    _atomic_write(path, _csv_text(AGG_CSV_COLUMNS, table))
+    )
+    _atomic_write(path, _csv_lines(AGG_CSV_COLUMNS, table))
 
 
 def read_agg_csv(path: str) -> list[AggRow]:

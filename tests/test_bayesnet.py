@@ -208,6 +208,23 @@ class TestIntervention:
             )
             assert true_ate(net, t, o) == pytest.approx(want, abs=1e-12)
 
+    def test_pathless_effect_is_exactly_zero(self):
+        # a -> c with b isolated: the two intervened marginals of b used to
+        # differ by rounding, giving true_ate(a, b) = 1.4e-17.
+        g = Dag(["a", "b", "c"], [(0, 2)])
+        net = Cbn(
+            g,
+            [
+                Cpd("a", [], [0.1]),
+                Cpd("b", [], [0.1]),
+                Cpd("c", ["a"], [0.1, 0.2]),
+            ],
+        )
+        for t, o in itertools.permutations("abc", 2):
+            if (t, o) != ("a", "c"):
+                assert true_ate(net, t, o) == 0.0
+        assert true_ate(net, "a", "c") == pytest.approx(0.1)
+
     def test_treatment_equals_outcome_rejected(self):
         with pytest.raises(ValueError):
             true_ate(two_node_net(), "a", "a")

@@ -1,15 +1,24 @@
-"""Property tests: invariants checked on generated graphs, columns and
-joint tables against direct reference computations."""
+"""Property tests: invariants checked on generated graphs, columns, joint
+tables and networks against direct reference computations."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from causalprobe.bayesnet import JointTable
+from causalprobe import bayesnet
+from causalprobe.bayesnet import (
+    JointTable,
+    from_json,
+    intervene,
+    random_cpds,
+    to_json,
+    true_ate,
+)
 from causalprobe.dataset import state_index
 from causalprobe.discovery import dag_to_cpdag, dagv_structures, orient_to_dag
-from causalprobe.graph import Dag
+from causalprobe.graph import Dag, from_text
+from causalprobe.sim import SimParams, derive_seed, simulate_run
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -80,3 +89,68 @@ def test_probability_equals_masked_sum(table_and_assignment):
     for i, node in enumerate(table.labels):
         want = float(table.probs[(states >> i) & 1 == 1].sum())
         assert table.marginal(node) == want
+
+
+@st.composite
+def networks(draw, max_nodes=8):
+    """A random DAG with CPD entries drawn from a seeded generator."""
+    g = draw(dags(max_nodes))
+    return random_cpds(g, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def _pairs(net):
+    return [(t, o) for t in net.graph.labels for o in net.graph.labels if t != o]
+
+
+@PROPERTY
+@given(networks())
+def test_true_ate_is_the_difference_of_the_intervened_marginals(net):
+    g = net.graph
+    for t, o in _pairs(net):
+        got = true_ate(net, t, o)
+        if g.has_directed_path(g.index(t), g.index(o)):
+            want = intervene(net, t, 1).marginal(o) - intervene(net, t, 0).marginal(o)
+            assert got == want
+        else:
+            assert got == 0.0
+
+
+@PROPERTY
+@given(networks(), st.randoms(use_true_random=False))
+def test_true_ate_ignores_the_order_of_the_questions(net, random):
+    pairs = _pairs(net)
+    first = {pair: true_ate(net, *pair) for pair in pairs}
+    shuffled = list(pairs)
+    random.shuffle(shuffled)
+    fresh = from_json(to_json(net))
+    assert {pair: true_ate(fresh, *pair) for pair in shuffled} == first
+
+
+@PROPERTY
+@given(networks())
+def test_network_equality_and_json_ignore_the_effect_memo(net):
+    before = to_json(net)
+    fresh = from_json(before)
+    for t, o in _pairs(net):
+        true_ate(net, t, o)
+    assert net == fresh and fresh == net
+    assert to_json(net) == before
+
+
+def test_oracle_builds_one_product_per_treatment(monkeypatch):
+    products = []
+    factor_product = bayesnet._factor_product
+
+    def counted(net, skip, states):
+        products.append(skip)
+        return factor_product(net, skip, states)
+
+    monkeypatch.setattr(bayesnet, "_factor_product", counted)
+    params = SimParams(n=10, p_edge=0.2, m=200, master_seed=3)
+    rec = simulate_run(params, 0)
+    assert not rec.failed
+    assert rec.run_seed == derive_seed(params.master_seed, 0, 0)  # first network
+    g = from_text(rec.true_graph)
+    with_descendant = sum(1 for v in range(g.n) if g.children(v))
+    assert 0 < len(products) <= with_descendant
+    assert len(set(products)) == len(products)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -275,14 +276,17 @@ class TestSimulateRun:
     def test_probe_truths_are_exact_oracle_values(self):
         p = SimParams(master_seed=42)
         r = simulate_run(p, 0)
-        # A probe pair without a directed path has zero truth up to the
-        # rounding of the two joint-table marginals.
+        # A probe pair without a directed path has a truth of exactly 0.0,
+        # not the rounding residue of two joint-table marginals.
         true_g = from_text(r.true_graph)
-        for d in r.probes:
+        pathless = [
+            d.truth
+            for d in r.probes
             if not true_g.has_directed_path(
                 true_g.index(d.treatment), true_g.index(d.outcome)
-            ):
-                assert abs(d.truth) <= 1e-12
+            )
+        ]
+        assert pathless and all(t == 0.0 for t in pathless)
 
 
 class TestRunStudy:
@@ -523,12 +527,49 @@ class TestJsonlIo:
         write_runs_jsonl(path, [rec])
         assert read_runs_jsonl(path)[0].probes == rec.probes
 
+    def test_failed_runs_write_strict_json(self, tmp_path):
+        recs = run_study(SimParams(n=2, p_edge=0.0, n_runs=2), threads=1)
+        assert all(r.failed for r in recs)
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, recs)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with open(path, encoding="utf-8") as fh:
+            docs = [json.loads(line, parse_constant=reject) for line in fh]
+        assert len(docs) == 2
+        for d in docs:
+            for key in ("true_ate", "est_ate", "abs_err", "rel_err", "hit_rate"):
+                assert d[key] is None
+            assert d["error"] == "degenerate network in 100 attempts"
+
+    def test_null_reads_back_as_nan(self, tmp_path):
+        rec = make_record(
+            failed=True,
+            error=None,
+            probes=(ProbeDetail("x0", "x1", math.nan, math.nan, False),),
+        )
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [rec])
+        back = read_runs_jsonl(path)[0]
+        for key in ("true_ate", "est_ate", "abs_err", "rel_err", "hit_rate"):
+            assert math.isnan(getattr(back, key))
+        assert back.error is None
+        assert math.isnan(back.probes[0].truth)
+        assert math.isnan(back.probes[0].estimate)
+        again = str(tmp_path / "again.jsonl")
+        write_runs_jsonl(again, [back])
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+
     def test_bad_line_rejected(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")
-        with open(path, "w") as fh:
-            fh.write("{\"nope\": 1}\n")
-        with pytest.raises(DataError):
-            read_runs_jsonl(path)
+        for line in ('{"nope": 1}', "[1, 2]", '"text"'):
+            with open(path, "w") as fh:
+                fh.write(line + "\n")
+            with pytest.raises(DataError):
+                read_runs_jsonl(path)
 
 
 class TestRecordValidation:
