@@ -61,6 +61,9 @@ class Cpd:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Cpd is immutable")
 
+    def __reduce__(self):
+        return (Cpd, (self.node, self.parents, self.table))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cpd):
             return NotImplemented
@@ -112,6 +115,9 @@ class Cbn:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Cbn is immutable")
 
+    def __reduce__(self):
+        return (Cbn, (self.graph, self.cpds))
+
     def cpd(self, node: str) -> Cpd:
         return self.cpds[self.graph.index(node)]
 
@@ -151,6 +157,9 @@ class JointTable:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("JointTable is immutable")
+
+    def __reduce__(self):
+        return (JointTable, (self.labels, self.probs))
 
     @property
     def n(self) -> int:

@@ -393,6 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "plot" and args.y is None:
         args.y = "count" if args.kind == "histogram" else "abs_err"
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,9 @@ class RawDataset:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RawDataset is immutable")
 
+    def __reduce__(self):
+        return (RawDataset, (self.columns, self.rows))
+
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -90,6 +93,9 @@ class BinaryDataset:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("BinaryDataset is immutable")
+
+    def __reduce__(self):
+        return (BinaryDataset, (self.columns, self.values))
 
     @property
     def n_rows(self) -> int:

@@ -8,8 +8,8 @@ candidates, forbidden edges are never introduced in their stated direction,
 and after every operator the pattern is re-oriented so knowledge-implied
 directions propagate through Meek's rules.
 
-All tie-breaks are fixed (lexicographic by edge, then by subset), so the
-search is a deterministic function of its inputs.
+All tie-breaks are fixed (enumeration order: by edge, then by subset), so
+the search is a deterministic function of its inputs.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ class Knowledge:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Knowledge is immutable")
+
+    def __reduce__(self):
+        return (Knowledge, (self.required, self.forbidden))
 
     @property
     def is_empty(self) -> bool:
@@ -174,6 +177,9 @@ class Cpdag:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Cpdag is immutable")
 
+    def __reduce__(self):
+        return (Cpdag, (self.labels, self.directed, self.undirected))
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -182,17 +188,6 @@ class Cpdag:
         return frozenset(
             {(min(a, b), max(a, b)) for a, b in self.directed} | self.undirected
         )
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.skeleton()
-
-    def und_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(
-            a if b == v else b for a, b in self.undirected if v in (a, b)
-        )
-
-    def parents(self, v: int) -> frozenset[int]:
-        return frozenset(a for a, b in self.directed if b == v)
 
     def v_structures(self) -> frozenset[tuple[int, int, int]]:
         """Unshielded colliders (x, z, y) with x < y, x -> z <- y."""
@@ -331,15 +326,19 @@ def _orient(directed: set, undirected: set, a: int, b: int) -> None:
     directed.add((a, b))
 
 
-def _adjacency(n: int, directed: set, undirected: set) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
+def _views(n: int, directed: set, undirected: set) -> tuple[list[set[int]], ...]:
+    """Per-node adjacency, undirected neighbours, children and parents."""
+    und_nb: list[set[int]] = [set() for _ in range(n)]
+    children: list[set[int]] = [set() for _ in range(n)]
+    parents: list[set[int]] = [set() for _ in range(n)]
     for a, b in undirected:
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
+        und_nb[a].add(b)
+        und_nb[b].add(a)
+    for a, b in directed:
+        children[a].add(b)
+        parents[b].add(a)
+    adj = [und_nb[v] | children[v] | parents[v] for v in range(n)]
+    return adj, und_nb, children, parents
 
 
 def _one_meek_step(n: int, directed: set, undirected: set) -> bool:
@@ -349,16 +348,7 @@ def _one_meek_step(n: int, directed: set, undirected: set) -> bool:
     would force a directed cycle or a new unshielded collider in every
     extension of the pattern.
     """
-    adj = _adjacency(n, directed, undirected)
-    und_nb: list[set[int]] = [set() for _ in range(n)]
-    for a, b in undirected:
-        und_nb[a].add(b)
-        und_nb[b].add(a)
-    children: list[set[int]] = [set() for _ in range(n)]
-    parents: list[set[int]] = [set() for _ in range(n)]
-    for a, b in directed:
-        children[a].add(b)
-        parents[b].add(a)
+    adj, und_nb, children, parents = _views(n, directed, undirected)
 
     # Rule 1: a -> b, b - c, a and c nonadjacent  =>  b -> c
     for a, b in sorted(directed):
@@ -519,32 +509,113 @@ def _subsets(items: Sequence[int]):
 
 
 def _is_clique(nodes: Iterable[int], adj: list[set[int]]) -> bool:
-    nodes = list(nodes)
     return all(b in adj[a] for a, b in itertools.combinations(nodes, 2))
 
 
 def _blocks_semi_directed(
-    n: int, y: int, x: int, blocked: set, directed: set, undirected: set
+    y: int, x: int, blocked: set, children: list[set[int]], und_nb: list[set[int]]
 ) -> bool:
     """True iff every path y -> .. -> x along directed (forward) or
     undirected edges passes through a blocked node."""
-    children: list[set[int]] = [set() for _ in range(n)]
-    for a, b in directed:
-        children[a].add(b)
-    for a, b in undirected:
-        children[a].add(b)
-        children[b].add(a)
     seen = {y}
     stack = [y]
     while stack:
         v = stack.pop()
-        for w in children[v]:
+        for w in itertools.chain(children[v], und_nb[v]):
             if w == x:
                 return False
             if w not in seen and w not in blocked:
                 seen.add(w)
                 stack.append(w)
     return True
+
+
+def _insertions(views, scorer: _Scorer, required: set, forbidden: set):
+    """Insert x -> y, orienting the undirected t - y edges (t a subset of y's
+    neighbours not adjacent to x) into y: yields (gain, (x, y, t)).
+    ``required`` is unused; it keeps the signature of :func:`_deletions`."""
+    adj, und_nb, children, parents = views
+    n = len(adj)
+    for x in range(n):
+        for y in range(n):
+            if x == y or y in adj[x] or (x, y) in forbidden:
+                continue
+            na = und_nb[y] & adj[x]
+            for t in _subsets(sorted(und_nb[y] - adj[x])):
+                if any((u, y) in forbidden for u in t):
+                    continue
+                group = na | set(t)
+                if not _is_clique(group, adj) or not _blocks_semi_directed(
+                    y, x, group, children, und_nb
+                ):
+                    continue
+                base = parents[y] | group
+                if len(base) + 1 > MAX_SCORE_PARENTS:
+                    continue
+                delta = scorer.local(y, frozenset(base | {x})) - scorer.local(
+                    y, frozenset(base)
+                )
+                if delta > _IMPROVEMENT_TOL:
+                    yield delta, (x, y, t)
+
+
+def _deletions(views, scorer: _Scorer, required: set, forbidden: set):
+    """Delete x - y or x -> y, orienting y -> h and x -> h for each h in a
+    subset of the common undirected neighbours: yields
+    (gain, (x, y, h, is_dir))."""
+    adj, und_nb, children, parents = views
+    n = len(adj)
+    for x in range(n):
+        for y in range(n):
+            if x == y or (x, y) in required or (y, x) in required:
+                continue
+            is_dir = y in children[x]
+            if not (is_dir or y in und_nb[x]):
+                continue
+            na = sorted(und_nb[y] & adj[x])
+            for h in _subsets(na):
+                rest = set(na) - set(h)
+                if not _is_clique(rest, adj):
+                    continue
+                if any(
+                    (y, u) in forbidden or (u in und_nb[x] and (x, u) in forbidden)
+                    for u in h
+                ):
+                    continue
+                base = (parents[y] - {x}) | rest
+                if len(base) + 1 > MAX_SCORE_PARENTS:
+                    continue
+                delta = scorer.local(y, frozenset(base)) - scorer.local(
+                    y, frozenset(base | {x})
+                )
+                if delta > _IMPROVEMENT_TOL:
+                    yield delta, (x, y, h, is_dir)
+
+
+def _insert(directed: set, undirected: set, move) -> tuple[set, set]:
+    """Copies of the pattern with an insertion from :func:`_insertions` made."""
+    x, y, t = move
+    d, u = set(directed), set(undirected)
+    d.add((x, y))
+    for w in t:
+        _orient(d, u, w, y)
+    return d, u
+
+
+def _delete(directed: set, undirected: set, move) -> tuple[set, set]:
+    """Copies of the pattern with a deletion from :func:`_deletions` made."""
+    x, y, h, is_dir = move
+    d, u = set(directed), set(undirected)
+    if is_dir:
+        d.discard((x, y))
+    else:
+        u.discard(_und_pair(x, y))
+    for w in h:
+        if _und_pair(y, w) in u:
+            _orient(d, u, y, w)
+        if _und_pair(x, w) in u:
+            _orient(d, u, x, w)
+    return d, u
 
 
 def ges(
@@ -557,8 +628,8 @@ def ges(
     Returns the pattern found by a forward insertion phase followed by a
     backward deletion phase, both climbing total BIC. Knowledge constrains
     the search as described in the module docstring. Deterministic: the
-    best-scoring move wins, with ties broken by lexicographic edge then
-    subset order.
+    best-scoring move wins, and ties go to enumeration order: by x, then by
+    y, then by the subset's size and lexicographic order.
     """
     if knowledge is None:
         knowledge = Knowledge()
@@ -573,127 +644,27 @@ def ges(
         directed, undirected = _rebuild(
             labels, directed, undirected, required, forbidden
         )
-
-    def pattern_views():
-        adj = _adjacency(n, directed, undirected)
-        und_nb: list[set[int]] = [set() for _ in range(n)]
-        for a, b in undirected:
-            und_nb[a].add(b)
-            und_nb[b].add(a)
-        pa: list[frozenset[int]] = [frozenset() for _ in range(n)]
-        for a, b in directed:
-            pa[b] = pa[b] | {a}
-        return adj, und_nb, pa
-
-    # Forward phase: best valid insertion until no strict improvement.
-    # Knowledge orientations make the working pattern a general PDAG, so a
-    # move that scores well can still fail to rebuild; moves are tried in
-    # score order and unextendable ones are skipped.
-    while True:
-        adj, und_nb, pa = pattern_views()
-        moves = []
-        for x in range(n):
-            for y in range(n):
-                if x == y or y in adj[x] or (x, y) in forbidden:
-                    continue
-                na = und_nb[y] & adj[x]
-                t_pool = sorted(und_nb[y] - adj[x])
-                for t in _subsets(t_pool):
-                    if any((u, y) in forbidden for u in t):
-                        continue
-                    group = na | set(t)
-                    if not _is_clique(group, adj):
-                        continue
-                    if not _blocks_semi_directed(
-                        n, y, x, group, directed, undirected
-                    ):
-                        continue
-                    base = pa[y] | group
-                    if len(base) + 1 > MAX_SCORE_PARENTS:
-                        continue
-                    delta = scorer.local(y, frozenset(base | {x})) - scorer.local(
-                        y, frozenset(base)
+    # Each phase takes the best move that rebuilds until none does. A stable
+    # sort on the gain keeps enumeration order among ties. Knowledge
+    # orientations make the working pattern a general PDAG, so a move that
+    # scores well can still fail to rebuild; such moves are skipped.
+    for moves, apply in ((_insertions, _insert), (_deletions, _delete)):
+        while True:
+            views = _views(n, directed, undirected)
+            ranked = sorted(
+                moves(views, scorer, required, forbidden), key=lambda mv: -mv[0]
+            )
+            for _, move in ranked:
+                d_try, u_try = apply(directed, undirected, move)
+                try:
+                    directed, undirected = _rebuild(
+                        labels, d_try, u_try, required, forbidden
                     )
-                    if delta > _IMPROVEMENT_TOL:
-                        moves.append((delta, len(moves), x, y, t))
-        moves.sort(key=lambda mv: (-mv[0], mv[1]))
-        applied = False
-        for _, _, x, y, t in moves:
-            d_try = set(directed)
-            u_try = set(undirected)
-            d_try.add((x, y))
-            for u in t:
-                _orient(d_try, u_try, u, y)
-            try:
-                directed, undirected = _rebuild(
-                    labels, d_try, u_try, required, forbidden
-                )
-            except OrientationError:
-                continue
-            applied = True
-            break
-        if not applied:
-            break
-
-    # Backward phase: best valid deletion until no strict improvement.
-    while True:
-        adj, und_nb, pa = pattern_views()
-        moves = []
-        for x in range(n):
-            for y in range(n):
-                if x == y or (x, y) in required or (y, x) in required:
+                except OrientationError:
                     continue
-                is_dir = (x, y) in directed
-                is_und = _und_pair(x, y) in undirected
-                if not (is_dir or is_und):
-                    continue
-                na = sorted(und_nb[y] & adj[x])
-                for h in _subsets(na):
-                    if not _is_clique(set(na) - set(h), adj):
-                        continue
-                    skip = False
-                    for u in h:
-                        if (y, u) in forbidden:
-                            skip = True
-                            break
-                        if _und_pair(x, u) in undirected and (x, u) in forbidden:
-                            skip = True
-                            break
-                    if skip:
-                        continue
-                    base = (pa[y] - {x}) | (set(na) - set(h))
-                    if len(base) + 1 > MAX_SCORE_PARENTS:
-                        continue
-                    delta = scorer.local(y, frozenset(base)) - scorer.local(
-                        y, frozenset(base | {x})
-                    )
-                    if delta > _IMPROVEMENT_TOL:
-                        moves.append((delta, len(moves), x, y, h, is_dir))
-        moves.sort(key=lambda mv: (-mv[0], mv[1]))
-        applied = False
-        for _, _, x, y, h, is_dir in moves:
-            d_try = set(directed)
-            u_try = set(undirected)
-            if is_dir:
-                d_try.discard((x, y))
+                break
             else:
-                u_try.discard(_und_pair(x, y))
-            for u in h:
-                if _und_pair(y, u) in u_try:
-                    _orient(d_try, u_try, y, u)
-                if _und_pair(x, u) in u_try:
-                    _orient(d_try, u_try, x, u)
-            try:
-                directed, undirected = _rebuild(
-                    labels, d_try, u_try, required, forbidden
-                )
-            except OrientationError:
-                continue
-            applied = True
-            break
-        if not applied:
-            break
-
+                break  # no move rebuilt: the phase is over
     return Cpdag(labels, directed, undirected)
 
 

@@ -51,6 +51,9 @@ class Dag:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Dag is immutable")
 
+    def __reduce__(self):
+        return (Dag, (self.labels, self.edges))
+
     def _toposort(self) -> tuple[int, ...]:
         indeg = [len(p) for p in self._parents]
         ready = [v for v, d in enumerate(indeg) if d == 0]

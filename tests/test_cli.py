@@ -197,16 +197,23 @@ class TestSimulate:
         assert text == ",".join(RUNS_CSV_COLUMNS) + "\n"
         assert "mean hit rate: n/a" in capsys.readouterr().out
 
-    def test_missing_out_dir_is_io_error(self, tmp_path, capsys):
-        rc = main(
-            [
-                "simulate",
-                "--runs",
-                "1",
-                "--out-dir",
-                str(tmp_path / "absent"),
-            ]
-        )
+    def test_missing_out_dir_is_created(self, tmp_path, capsys):
+        out = tmp_path / "new" / "study"
+        rc = main(["simulate", "--runs", "1", "--out-dir", str(out)])
+        assert rc == 0
+        assert len(read_runs_csv(str(out / "runs.csv"))) == 1
+        assert (out / "runs.jsonl").exists()
+
+    def test_out_dir_that_is_a_file_is_io_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr("causalprobe.cli.run_study", no_study)
+        path = tmp_path / "taken"
+        path.write_text("")
+        rc = main(["simulate", "--runs", "1", "--out-dir", str(path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 

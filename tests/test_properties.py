@@ -1,5 +1,6 @@
 """Property tests: invariants checked on generated graphs, columns, joint
-tables and networks against direct reference computations."""
+tables, networks and knowledge-constrained searches against direct reference
+computations."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,11 +13,19 @@ from causalprobe.bayesnet import (
     from_json,
     intervene,
     random_cpds,
+    sample,
     to_json,
     true_ate,
 )
 from causalprobe.dataset import state_index
-from causalprobe.discovery import dag_to_cpdag, dagv_structures, orient_to_dag
+from causalprobe.discovery import (
+    Knowledge,
+    dag_to_cpdag,
+    dagv_structures,
+    ges,
+    orient_to_dag,
+    pick_hint_edges,
+)
 from causalprobe.graph import Dag, from_text
 from causalprobe.sim import SimParams, derive_seed, simulate_run
 
@@ -154,3 +163,64 @@ def test_oracle_builds_one_product_per_treatment(monkeypatch):
     with_descendant = sum(1 for v in range(g.n) if g.children(v))
     assert 0 < len(products) <= with_descendant
     assert len(set(products)) == len(products)
+
+
+@st.composite
+def searches(draw, max_nodes=6, m=300):
+    """Data sampled from a random network, with knowledge that holds in it:
+    hinted true edges as required, and forbidden pairs drawn only from the
+    pairs the true graph leaves nonadjacent."""
+    net = draw(networks(max_nodes))
+    g = net.graph
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = sample(net, m, rng)
+    hints = pick_hint_edges(g, draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])), rng)
+    skeleton = {frozenset(e) for e in g.edges}
+    open_pairs = [
+        (a, b) for a in range(g.n) for b in range(g.n)
+        if a != b and frozenset((a, b)) not in skeleton
+    ]
+    keep = draw(
+        st.lists(st.booleans(), min_size=len(open_pairs), max_size=len(open_pairs))
+    )
+    forbidden = [
+        (g.labels[a], g.labels[b]) for (a, b), k in zip(open_pairs, keep) if k
+    ]
+    return data, Knowledge(hints.required, forbidden)
+
+
+def _directed_edges(pattern, dag):
+    """Name pairs directed in the search's pattern, and in its DAG."""
+    labels = pattern.labels
+    return (
+        {(labels[a], labels[b]) for a, b in pattern.directed},
+        {(labels[a], labels[b]) for a, b in dag.edges},
+    )
+
+
+@PROPERTY
+@given(searches())
+def test_search_directs_every_required_edge(case):
+    data, knowledge = case
+    pattern = ges(data, knowledge)
+    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern, knowledge))
+    assert knowledge.required <= in_pattern
+    assert knowledge.required <= in_dag
+
+
+@PROPERTY
+@given(searches())
+def test_search_never_directs_a_forbidden_edge(case):
+    data, knowledge = case
+    pattern = ges(data, knowledge)
+    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern, knowledge))
+    assert not knowledge.forbidden & in_pattern
+    assert not knowledge.forbidden & in_dag
+
+
+@PROPERTY
+@given(searches())
+def test_search_without_knowledge_returns_the_pattern_of_its_extension(case):
+    data, _ = case
+    pattern = ges(data)
+    assert dag_to_cpdag(orient_to_dag(pattern)) == pattern
