@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,24 +29,27 @@ from .graph import Dag
 MAX_EXACT_NODES = 25
 
 
+@dataclass(frozen=True, slots=True)
 class Cpd:
     """Conditional probability table for one binary node.
 
     ``table`` has length 2**len(parents); entry i is p(node = 1 | parents in
     configuration i), with the first parent as the most significant bit.
+    Parents and table are kept as tuples.
     """
 
-    __slots__ = ("node", "parents", "table")
+    node: str
+    parents: Sequence[str]
+    table: Sequence[float]
 
-    def __init__(
-        self, node: str, parents: Sequence[str], table: Sequence[float]
-    ):
-        parents = tuple(str(p) for p in parents)
+    def __post_init__(self):
+        node = self.node
+        parents = tuple(str(p) for p in self.parents)
         if len(set(parents)) != len(parents):
             raise ValueError(f"cpd for {node!r} repeats a parent")
         if node in parents:
             raise ValueError(f"cpd for {node!r} lists itself as a parent")
-        table = tuple(float(x) for x in table)
+        table = tuple(float(x) for x in self.table)
         if len(table) != 1 << len(parents):
             raise ValueError(
                 f"cpd for {node!r} has {len(table)} entries, expected "
@@ -58,38 +62,27 @@ class Cpd:
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "table", table)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Cpd is immutable")
-
-    def __reduce__(self):
-        return (Cpd, (self.node, self.parents, self.table))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cpd):
-            return NotImplemented
-        return (
-            self.node == other.node
-            and self.parents == other.parents
-            and self.table == other.table
-        )
-
     def __repr__(self) -> str:
         return f"Cpd({self.node!r}, parents={list(self.parents)})"
 
 
+@dataclass(frozen=True, slots=True)
 class Cbn:
     """A DAG plus one CPD per node, checked for mutual consistency.
 
-    ``_effect_rows`` memoizes :func:`true_ate` per treatment index; it is
-    derived from the graph and CPDs, so equality ignores it.
+    ``cpds`` is kept as a tuple in the graph's label order. ``_effect_rows``
+    memoizes :func:`true_ate` per treatment index; it is derived from the
+    graph and CPDs, so equality ignores it.
     """
 
-    __slots__ = ("graph", "cpds", "_effect_rows")
+    graph: Dag
+    cpds: Iterable[Cpd]
+    _effect_rows: dict = field(init=False, repr=False, compare=False)
 
-    def __init__(self, graph: Dag, cpds: Iterable[Cpd]):
-        cpds = tuple(cpds)
+    def __post_init__(self):
+        graph = self.graph
         by_node = {}
-        for cpd in cpds:
+        for cpd in self.cpds:
             if cpd.node in by_node:
                 raise ValueError(f"two cpds for node {cpd.node!r}")
             by_node[cpd.node] = cpd
@@ -107,41 +100,31 @@ class Cbn:
                     f"cpd for {cpd.node!r} conditions on {sorted(cpd.parents)} "
                     f"but the graph gives parents {sorted(want)}"
                 )
-        ordered = tuple(by_node[lab] for lab in graph.labels)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "cpds", ordered)
+        object.__setattr__(self, "cpds", tuple(by_node[lab] for lab in graph.labels))
         object.__setattr__(self, "_effect_rows", {})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Cbn is immutable")
-
-    def __reduce__(self):
-        return (Cbn, (self.graph, self.cpds))
 
     def cpd(self, node: str) -> Cpd:
         return self.cpds[self.graph.index(node)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cbn):
-            return NotImplemented
-        return self.graph == other.graph and self.cpds == other.cpds
 
     def __repr__(self) -> str:
         return f"Cbn({self.graph!r})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class JointTable:
     """Dense joint distribution over n binary variables.
 
     ``probs[s]`` is the probability of the state where node i takes value
-    ``(s >> i) & 1``. Entries are nonnegative and sum to 1 within tolerance.
+    ``(s >> i) & 1``. Entries are nonnegative and sum to 1 within tolerance;
+    ``probs`` is kept as a read-only float64 array.
     """
 
-    __slots__ = ("labels", "probs")
+    labels: Sequence[str]
+    probs: np.ndarray
 
-    def __init__(self, labels: Sequence[str], probs: np.ndarray):
-        labels = tuple(str(x) for x in labels)
-        probs = np.asarray(probs, dtype=np.float64)
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
+        probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (1 << len(labels),):
             raise ValueError(
                 f"need {1 << len(labels)} probabilities for {len(labels)} nodes"
@@ -154,12 +137,6 @@ class JointTable:
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("JointTable is immutable")
-
-    def __reduce__(self):
-        return (JointTable, (self.labels, self.probs))
 
     @property
     def n(self) -> int:
@@ -365,21 +342,32 @@ def from_json(text: str) -> Cbn:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid network JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("network JSON must be an object")
     for key in ("nodes", "edges", "cpds"):
-        if key not in doc:
-            raise ValueError(f"network JSON is missing the {key!r} field")
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"network JSON needs a list in the {key!r} field")
     labels = tuple(str(x) for x in doc["nodes"])
     index = {lab: i for i, lab in enumerate(labels)}
     edges = []
     for pair in doc["edges"]:
-        if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, str) and x in index for x in pair)
+        ):
             raise ValueError(f"bad edge entry {pair!r}")
         edges.append((index[pair[0]], index[pair[1]]))
     graph = Dag(labels, edges)
     cpds = []
     for entry in doc["cpds"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"bad cpd entry {entry!r}")
         for key in ("node", "parents", "table"):
             if key not in entry:
                 raise ValueError(f"cpd entry is missing the {key!r} field")
-        cpds.append(Cpd(entry["node"], entry["parents"], entry["table"]))
+        try:
+            cpds.append(Cpd(entry["node"], entry["parents"], entry["table"]))
+        except TypeError as exc:
+            raise ValueError(f"bad cpd entry {entry!r}: {exc}") from exc
     return Cbn(graph, cpds)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,15 +28,17 @@ def _check_columns(columns: Sequence[str]) -> tuple[str, ...]:
     return cols
 
 
+@dataclass(frozen=True, slots=True)
 class RawDataset:
-    """String-valued table with named columns."""
+    """String-valued table with named columns, kept as tuples of strings."""
 
-    __slots__ = ("columns", "rows")
+    columns: Sequence[str]
+    rows: Iterable[Sequence[str]]
 
-    def __init__(self, columns: Sequence[str], rows: Iterable[Sequence[str]]):
-        cols = _check_columns(columns)
+    def __post_init__(self):
+        cols = _check_columns(self.columns)
         frozen = []
-        for r, row in enumerate(rows):
+        for r, row in enumerate(self.rows):
             row = tuple(str(x) for x in row)
             if len(row) != len(cols):
                 raise DataError(
@@ -44,12 +47,6 @@ class RawDataset:
             frozen.append(row)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "rows", tuple(frozen))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("RawDataset is immutable")
-
-    def __reduce__(self):
-        return (RawDataset, (self.columns, self.rows))
 
     @property
     def n_rows(self) -> int:
@@ -61,23 +58,22 @@ class RawDataset:
         except ValueError:
             raise DataError(f"unknown column {name!r}") from None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RawDataset):
-            return NotImplemented
-        return self.columns == other.columns and self.rows == other.rows
-
     def __repr__(self) -> str:
         return f"RawDataset({self.n_rows} rows, columns={list(self.columns)})"
 
 
+# eq=False keeps the array comparison below and leaves the type unhashable.
+@dataclass(frozen=True, slots=True, eq=False)
 class BinaryDataset:
-    """Binary table: uint8 matrix of shape (n_rows, n_columns), cells in {0, 1}."""
+    """Binary table: a read-only copy of the uint8 matrix of shape
+    (n_rows, n_columns), cells in {0, 1}."""
 
-    __slots__ = ("columns", "values")
+    columns: Sequence[str]
+    values: np.ndarray
 
-    def __init__(self, columns: Sequence[str], values: np.ndarray):
-        cols = _check_columns(columns)
-        arr = np.asarray(values, dtype=np.uint8)
+    def __post_init__(self):
+        cols = _check_columns(self.columns)
+        arr = np.asarray(self.values, dtype=np.uint8)
         if arr.ndim != 2:
             raise DataError("values must be a 2-d array")
         if arr.shape[1] != len(cols):
@@ -90,12 +86,6 @@ class BinaryDataset:
         arr.setflags(write=False)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BinaryDataset is immutable")
-
-    def __reduce__(self):
-        return (BinaryDataset, (self.columns, self.values))
 
     @property
     def n_rows(self) -> int:

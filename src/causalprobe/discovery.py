@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,23 +29,21 @@ MAX_SCORE_PARENTS = 15
 _IMPROVEMENT_TOL = 1e-10
 
 
+@dataclass(frozen=True, slots=True)
 class Knowledge:
     """Qualitative structure constraints: edges that must or must not appear.
 
     Pairs are (parent, child) node names. Required and forbidden sets must be
     disjoint, no pair may be required in both directions, and the required
-    edges alone must be acyclic.
+    edges alone must be acyclic. Both sets are kept as frozensets.
     """
 
-    __slots__ = ("required", "forbidden")
+    required: Iterable[tuple[str, str]] = ()
+    forbidden: Iterable[tuple[str, str]] = ()
 
-    def __init__(
-        self,
-        required: Iterable[tuple[str, str]] = (),
-        forbidden: Iterable[tuple[str, str]] = (),
-    ):
-        req = frozenset((str(a), str(b)) for a, b in required)
-        forb = frozenset((str(a), str(b)) for a, b in forbidden)
+    def __post_init__(self):
+        req = frozenset((str(a), str(b)) for a, b in self.required)
+        forb = frozenset((str(a), str(b)) for a, b in self.forbidden)
         for a, b in req | forb:
             if a == b:
                 raise KnowledgeError(f"self-edge {a!r} -> {b!r} is not allowed")
@@ -67,26 +66,12 @@ class Knowledge:
         object.__setattr__(self, "required", req)
         object.__setattr__(self, "forbidden", forb)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Knowledge is immutable")
-
-    def __reduce__(self):
-        return (Knowledge, (self.required, self.forbidden))
-
     @property
     def is_empty(self) -> bool:
         return not self.required and not self.forbidden
 
     def node_names(self) -> frozenset[str]:
         return frozenset(x for edge in self.required | self.forbidden for x in edge)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Knowledge):
-            return NotImplemented
-        return self.required == other.required and self.forbidden == other.forbidden
-
-    def __hash__(self) -> int:
-        return hash((self.required, self.forbidden))
 
     def __repr__(self) -> str:
         return (
@@ -133,29 +118,27 @@ def format_knowledge(k: Knowledge) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+@dataclass(frozen=True, slots=True)
 class Cpdag:
     """Partially directed pattern: directed plus undirected edges.
 
     Undirected pairs are stored normalized as (low index, high index). The
     directed part must be acyclic and no adjacency may be both directed and
-    undirected.
+    undirected. Labels are kept as a tuple, edges as frozensets.
     """
 
-    __slots__ = ("labels", "directed", "undirected")
+    labels: Sequence[str]
+    directed: Iterable[tuple[int, int]] = ()
+    undirected: Iterable[tuple[int, int]] = ()
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        directed: Iterable[tuple[int, int]] = (),
-        undirected: Iterable[tuple[int, int]] = (),
-    ):
-        labels = tuple(str(x) for x in labels)
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate node labels")
         n = len(labels)
-        dir_set = frozenset((int(a), int(b)) for a, b in directed)
+        dir_set = frozenset((int(a), int(b)) for a, b in self.directed)
         und_set = frozenset(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in undirected
+            (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.undirected
         )
         for a, b in dir_set | und_set:
             if not (0 <= a < n and 0 <= b < n):
@@ -174,12 +157,6 @@ class Cpdag:
         object.__setattr__(self, "directed", dir_set)
         object.__setattr__(self, "undirected", und_set)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Cpdag is immutable")
-
-    def __reduce__(self):
-        return (Cpdag, (self.labels, self.directed, self.undirected))
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -192,18 +169,6 @@ class Cpdag:
     def v_structures(self) -> frozenset[tuple[int, int, int]]:
         """Unshielded colliders (x, z, y) with x < y, x -> z <- y."""
         return _colliders(self.n, self.directed, self.skeleton())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Cpdag):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.directed == other.directed
-            and self.undirected == other.undirected
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.directed, self.undirected))
 
     def __repr__(self) -> str:
         parts = [f"{self.labels[a]}->{self.labels[b]}" for a, b in sorted(self.directed)]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,21 +18,28 @@ from .errors import GraphGenerationError
 DEFAULT_REJECTION_CAP = 10_000
 
 
+@dataclass(frozen=True, slots=True)
 class Dag:
     """Immutable directed acyclic graph over an ordered list of node labels.
 
-    Edges are ordered (parent, child) index pairs. Construction rejects
-    self-loops, out-of-range endpoints and directed cycles.
+    Edges are ordered (parent, child) index pairs, kept as a frozenset; labels
+    are kept as a tuple. Construction rejects self-loops, out-of-range
+    endpoints and directed cycles.
     """
 
-    __slots__ = ("labels", "edges", "_parents", "_children", "_topo")
+    labels: Sequence[str]
+    edges: Iterable[tuple[int, int]] = ()
+    # Derived from the edges in __post_init__.
+    _parents: tuple = field(init=False, repr=False, compare=False)
+    _children: tuple = field(init=False, repr=False, compare=False)
+    _topo: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] = ()):
-        labels = tuple(str(x) for x in labels)
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate node labels")
         n = len(labels)
-        edge_set = frozenset((int(a), int(b)) for a, b in edges)
+        edge_set = frozenset((int(a), int(b)) for a, b in self.edges)
         for a, b in edge_set:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) references an unknown node")
@@ -47,12 +55,6 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(tuple(p) for p in parents))
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "_topo", self._toposort())
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Dag is immutable")
-
-    def __reduce__(self):
-        return (Dag, (self.labels, self.edges))
 
     def _toposort(self) -> tuple[int, ...]:
         indeg = [len(p) for p in self._parents]
@@ -127,14 +129,6 @@ class Dag:
     def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Dag":
         """New Dag over the same labels with the given edge set."""
         return Dag(self.labels, edges)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dag):
-            return NotImplemented
-        return self.labels == other.labels and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
 
     def __repr__(self) -> str:
         edges = ", ".join(

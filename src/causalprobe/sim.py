@@ -491,9 +491,6 @@ RUNS_CSV_COLUMNS = (
 
 AGG_CSV_COLUMNS = ("hit_rate", "count", "mean_abs_err", "mean_rel_err", "mean_shd")
 
-_INT_FIELDS = {"run_index", "run_seed", "n", "m", "shd", "n_probes", "count"}
-_BOOL_FIELDS = {"connected", "failed"}
-
 
 def _format_cell(value) -> str:
     if isinstance(value, bool):
@@ -503,22 +500,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _parse_cell(column: str, text: str):
-    if column in _BOOL_FIELDS:
+def _parse_cell(kind: str, column: str, text: str):
+    """Parse one cell as its field's declared type (``kind``)."""
+    if kind == "bool":
         if text not in ("true", "false"):
             raise DataError(f"bad boolean {text!r} in column {column!r}")
         return text == "true"
-    if column in _INT_FIELDS:
-        try:
-            return int(text)
-        except ValueError:
-            raise DataError(f"bad integer {text!r} in column {column!r}") from None
-    if column in ("target_treatment", "target_outcome"):
+    if kind == "str":
         return text
     try:
-        return float(text)
+        return int(text) if kind == "int" else float(text)
     except ValueError:
-        raise DataError(f"bad number {text!r} in column {column!r}") from None
+        noun = "integer" if kind == "int" else "number"
+        raise DataError(f"bad {noun} {text!r} in column {column!r}") from None
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -534,40 +528,52 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def _csv_lines(columns, rows) -> Iterator[str]:
-    """The CSV text of the header and ``rows``, one line at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in itertools.chain([columns], rows):
-        writer.writerow(row)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+def _write_table(path: str, columns: tuple[str, ...], rows: Iterable) -> None:
+    """Write the named attributes of ``rows`` as CSV, one line at a time."""
+
+    def lines() -> Iterator[str]:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        cells = ([_format_cell(getattr(r, c)) for c in columns] for r in rows)
+        for row in itertools.chain([columns], cells):
+            writer.writerow(row)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+
+    _atomic_write(path, lines())
+
+
+def _read_table(path: str, cls: type, columns: tuple[str, ...], what: str) -> list:
+    """Rows of a CSV file written by :func:`_write_table`, rebuilt as ``cls``;
+    each column is parsed as the type its field declares."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != columns:
+            raise DataError(f"{path}: not {what} file")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(columns):
+                raise DataError(f"{where}: ragged row {row!r}")
+            try:
+                out.append(cls(**{
+                    c: _parse_cell(kinds[c], c, text)
+                    for c, text in zip(columns, row)
+                }))
+            except (DataError, ValueError) as exc:
+                raise DataError(f"{where}: bad record: {exc}") from exc
+    return out
 
 
 def write_runs_csv(path: str, records: Sequence[RunRecord]) -> None:
-    rows = (
-        [_format_cell(getattr(r, c)) for c in RUNS_CSV_COLUMNS]
-        for r in records
-    )
-    _atomic_write(path, _csv_lines(RUNS_CSV_COLUMNS, rows))
+    _write_table(path, RUNS_CSV_COLUMNS, records)
 
 
 def read_runs_csv(path: str) -> list[RunRecord]:
     """Rebuild records from the flat CSV; graph and probe detail stay empty."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != RUNS_CSV_COLUMNS:
-        raise DataError(f"{path}: not a runs.csv file")
-    records = []
-    for row in rows[1:]:
-        if len(row) != len(RUNS_CSV_COLUMNS):
-            raise DataError(f"{path}: ragged row {row!r}")
-        kwargs = {
-            c: _parse_cell(c, cell) for c, cell in zip(RUNS_CSV_COLUMNS, row)
-        }
-        records.append(RunRecord(**kwargs))
-    return records
+    return _read_table(path, RunRecord, RUNS_CSV_COLUMNS, "a runs.csv")
 
 
 # Float fields whose null in runs.jsonl (a missing value, NaN) reads back as NaN.
@@ -620,32 +626,14 @@ def read_runs_jsonl(path: str) -> list[RunRecord]:
                 continue
             try:
                 records.append(_record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, TypeError, KeyError, AttributeError) as exc:
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records
 
 
 def write_agg_csv(path: str, rows: Sequence[AggRow]) -> None:
-    table = (
-        [_format_cell(getattr(row, c)) for c in AGG_CSV_COLUMNS]
-        for row in rows
-    )
-    _atomic_write(path, _csv_lines(AGG_CSV_COLUMNS, table))
+    _write_table(path, AGG_CSV_COLUMNS, rows)
 
 
 def read_agg_csv(path: str) -> list[AggRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != AGG_CSV_COLUMNS:
-        raise DataError(f"{path}: not an agg.csv file")
-    out = []
-    for row in rows[1:]:
-        if len(row) != len(AGG_CSV_COLUMNS):
-            raise DataError(f"{path}: ragged row {row!r}")
-        out.append(
-            AggRow(**{
-                c: _parse_cell(c, cell)
-                for c, cell in zip(AGG_CSV_COLUMNS, row)
-            })
-        )
-    return out
+    return _read_table(path, AggRow, AGG_CSV_COLUMNS, "an agg.csv")

@@ -304,8 +304,22 @@ class TestJson:
             assert to_json(again) == to_json(net)
 
     def test_missing_field(self):
-        with pytest.raises(ValueError):
-            from_json('{"nodes": ["a"], "edges": []}')
+        for doc in (
+            '{"nodes": ["a"], "edges": []}',
+            # malformed documents: not an object, a field that is not a
+            # list, a bad edge, a bad cpd
+            "5",
+            '"nodes edges cpds"',
+            '{"nodes": 5, "edges": [], "cpds": []}',
+            '{"nodes": ["a"], "edges": [], "cpds": 5}',
+            '{"nodes": ["a"], "edges": [5], "cpds": []}',
+            '{"nodes": ["a", "b"], "edges": [[["a"], "b"]], "cpds": []}',
+            '{"nodes": ["a"], "edges": [], "cpds": [5]}',
+            '{"nodes": ["a"], "edges": [], '
+            '"cpds": [{"node": "a", "parents": [], "table": 0.5}]}',
+        ):
+            with pytest.raises(ValueError):
+                from_json(doc)
 
     def test_invalid_json(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,19 @@ class TestCsvIo:
         with pytest.raises(DataError):
             read_runs_csv(path)
 
+    def test_invalid_record_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "runs.csv")
+        write_runs_csv(path, [make_record(run_index=0), make_record(run_index=1)])
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[2].split(",")
+        cells[RUNS_CSV_COLUMNS.index("hit_rate")] = "2.0"
+        lines[2] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}:3: .*hit_rate"):
+            read_runs_csv(path)
+
     def test_agg_round_trip(self, tmp_path):
         rows = aggregate(
             [
@@ -562,6 +576,19 @@ class TestJsonlIo:
         write_runs_jsonl(again, [back])
         with open(path, "rb") as a, open(again, "rb") as b:
             assert a.read() == b.read()
+
+    def test_invalid_record_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [make_record(run_index=0), make_record(run_index=1)])
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        doc = json.loads(lines[1])
+        doc["hit_rate"] = 2.0
+        lines[1] = json.dumps(doc)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}:2: .*hit_rate"):
+            read_runs_jsonl(path)
 
     def test_bad_line_rejected(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")

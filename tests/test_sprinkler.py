@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from causalprobe.bayesnet import joint_distribution, true_ate
+from causalprobe.discovery import parse_knowledge
 from causalprobe.estimation import METHOD_TRIVIAL_ZERO
 from causalprobe.graph import shd
+from causalprobe.probing import evaluate_probe, parse_probes
 from causalprobe.sprinkler import (
     SPRINKLER_TARGET,
     correct_knowledge,
@@ -114,3 +119,29 @@ class TestDeterminism:
 
     def test_target_constant(self):
         assert SPRINKLER_TARGET == ("sprinkler", "slippery")
+
+
+def _readme_block(heading):
+    """The first fenced block after the bold ``heading`` in the README."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    found = re.search(
+        rf"\*\*{heading}\*\*.*?```\n(.*?)```", text, flags=re.DOTALL
+    )
+    assert found, heading
+    return found.group(1)
+
+
+class TestReadmeExamples:
+    def test_example_probes_and_knowledge_fit_the_network(self):
+        net = sprinkler_net()
+        probes = parse_probes(_readme_block("Probe files"))
+        assert len(probes) == 5
+        for p in probes:
+            truth = true_ate(net, p.treatment, p.outcome)
+            assert evaluate_probe(p, truth), (p, truth)
+        knowledge = parse_knowledge(_readme_block("Knowledge files"))
+        g = net.graph
+        edges = {(g.labels[a], g.labels[b]) for a, b in g.edges}
+        assert knowledge.required and knowledge.required <= edges
+        assert knowledge.forbidden and not knowledge.forbidden & edges
