@@ -2,8 +2,10 @@
 
 A network pairs a DAG with one conditional probability table per node. All
 variables take values in {0, 1}. The joint distribution is available exactly
-as a dense table up to 25 nodes, which makes interventional quantities such
-as average treatment effects computable without sampling error.
+as a dense table up to 25 nodes. Average treatment effects are computed
+exactly, without sampling error, by variable elimination, whose factors span
+only the nodes that are live at one step; the limit there is on that live
+width, not on the node count.
 
 Bit conventions:
   * CPD tables are indexed by the parent configuration with the first parent
@@ -236,28 +238,82 @@ def mutilated(net: Cbn, treatment: str, value: int) -> Cbn:
     return Cbn(new_graph, new_cpds)
 
 
+def _elimination_plan(g: Dag, t: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Steps of the elimination pass for do(t): (node, nodes summed out after
+    adding it), over t, its descendants and their ancestors in topological
+    order, with t's parents cut.
+
+    A node is live from when it is added until its last kept child is. Walked
+    dry, before any factor exists: CapacityError when the factor over the arm
+    axis and the live nodes would exceed 2**MAX_EXACT_NODES cells.
+    """
+    kept = {t}
+    stack = list(g.descendants(t))
+    while stack:
+        v = stack.pop()
+        if v not in kept:
+            kept.add(v)
+            stack.extend(g.parents(v))
+    pending = {v: sum(c in kept for c in g.children(v)) for v in kept}
+    live: list[int] = []
+    steps = []
+    for v in g.topological_order():
+        if v not in kept:
+            continue
+        live.append(v)
+        if len(live) + 1 > MAX_EXACT_NODES:
+            raise CapacityError(
+                f"exact effects of {g.labels[t]!r} need {len(live)} live nodes "
+                f"at once; the factor would exceed 2**{MAX_EXACT_NODES} cells"
+            )
+        for p in () if v == t else g.parents(v):
+            pending[p] -= 1
+        dead = tuple(u for u in live if pending[u] == 0)
+        live = [u for u in live if pending[u] > 0]
+        steps.append((v, dead))
+    return steps
+
+
 def _effect_row(net: Cbn, t: int) -> tuple[float, ...]:
     """Exact effect of do(node t) on every node, 0.0 where no directed path
     leads from t.
 
-    One product of every CPD factor but t's serves both arms: do(t = 1)
-    keeps its entries where t is 1, do(t = 0) where t is 0, exactly as
-    :func:`intervene` builds them.
+    Variable elimination along :func:`_elimination_plan`: one dense factor
+    over the live nodes, with a leading arm axis for do(t = 0) and
+    do(t = 1). Adding a node multiplies in its CPD (for t, the identity over
+    arm and t); a descendant's effect is read off the factor before the
+    nodes that are no longer live are summed out.
     """
-    labels = net.graph.labels
-    reached = sorted(net.graph.descendants(t))
-    states = _all_states(net)
-    prod = _factor_product(net, t, states)
-    bit_t = ((states >> t) & 1) == 1
-    # Each of these is a full 2**n table: keep one arm alive at a time.
-    del states
-    do_one = JointTable(labels, np.where(bit_t, prod, 0.0))
-    p_one = [do_one.marginal(labels[o]) for o in reached]
-    del do_one
-    do_zero = JointTable(labels, np.where(bit_t, 0.0, prod))
-    row = [0.0] * net.graph.n
-    for o, p in zip(reached, p_one):
-        row[o] = p - do_zero.marginal(labels[o])
+    g = net.graph
+    steps = _elimination_plan(g, t)
+    reached = g.descendants(t)
+    row = [0.0] * g.n
+    factor = np.ones(2)
+    live: list[int] = []
+    for v, dead in steps:
+        # The new node's axis goes last; its parents' axes keep their places.
+        if v == t:
+            table = np.eye(2).reshape([2] + [1] * len(live) + [2])
+        else:
+            cpd = net.cpds[v]
+            pos = [live.index(g.index(p)) for p in cpd.parents]
+            p_one = np.asarray(cpd.table, dtype=np.float64)
+            table = np.stack([1.0 - p_one, p_one], axis=-1).reshape(
+                (2,) * (len(pos) + 1)
+            )
+            shape = [1] * (len(live) + 1) + [2]
+            for q in pos:
+                shape[q + 1] = 2
+            order = sorted(range(len(pos)), key=pos.__getitem__)
+            table = table.transpose([*order, len(pos)]).reshape(shape)
+        factor = factor[..., None] * table
+        live.append(v)
+        if v in reached:
+            arms = factor.sum(axis=tuple(range(1, factor.ndim - 1)))
+            row[v] = float(arms[1, 1] - arms[0, 1])
+        if dead:
+            factor = factor.sum(axis=tuple(live.index(u) + 1 for u in dead))
+            live = [u for u in live if u not in dead]
     return tuple(row)
 
 
@@ -266,8 +322,9 @@ def true_ate(net: Cbn, treatment: str, outcome: str) -> float:
 
     Computed exactly from the truncated factorization, and exactly 0.0 when
     no directed path leads from treatment to outcome. The effects of one
-    treatment on every node are computed together on first use and kept
-    with the network.
+    treatment on every node come from one elimination pass on first use and
+    are kept with the network. Raises CapacityError when that pass would
+    need a factor of more than 2**MAX_EXACT_NODES cells.
     """
     if treatment == outcome:
         raise ValueError("treatment and outcome must differ")
@@ -366,6 +423,9 @@ def from_json(text: str) -> Cbn:
         for key in ("node", "parents", "table"):
             if key not in entry:
                 raise ValueError(f"cpd entry is missing the {key!r} field")
+        for key in ("parents", "table"):
+            if not isinstance(entry[key], list):
+                raise ValueError(f"bad cpd entry {entry!r}: {key!r} must be a list")
         try:
             cpds.append(Cpd(entry["node"], entry["parents"], entry["table"]))
         except TypeError as exc:

@@ -7,6 +7,7 @@ deterministic; ties are broken by node index.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -161,7 +162,8 @@ def random_dag(
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must lie in [0, 1]")
     if labels is None:
-        labels = tuple(f"x{i}" for i in range(n))
+        # Interned, so the records of a study's runs share one copy of each.
+        labels = tuple(sys.intern(f"x{i}") for i in range(n))
     for _ in range(max_rejections + 1):
         mask = rng.random((n, n)) < p_edge
         np.fill_diagonal(mask, False)

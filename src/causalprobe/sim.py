@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (
     GraphGenerationError,
     PipelineError,
 )
+from .estimation import METHOD_TRIVIAL_ZERO
 from .graph import Dag, is_weakly_connected, random_dag, shd, to_text
 from .pipeline import AnalysisConfig, run_end_to_end
 from .probing import Point, ProbeSpec
@@ -253,6 +254,18 @@ def _failed_record(
     )
 
 
+@cache
+def _zero_probe(treatment: str, outcome: str) -> ProbeDetail:
+    """Detail of a probe whose truth is exactly 0.0 and whose estimate is the
+    trivial zero of a pair with no directed path in the discovered graph.
+
+    Most probes of a sparse network are of this kind, and a study holds every
+    run's record until it writes them, so runs share one detail per pair.
+    Study labels are x0..x24, which bounds the cache.
+    """
+    return ProbeDetail(treatment, outcome, 0.0, 0.0, True)
+
+
 def simulate_run(params: SimParams, run_index: int) -> RunRecord:
     """One fully seeded simulation run; deterministic in its arguments."""
     graph = None
@@ -311,7 +324,9 @@ def simulate_run(params: SimParams, run_index: int) -> RunRecord:
 
     est = result.report.target.value
     details = tuple(
-        ProbeDetail(
+        _zero_probe(r.spec.treatment, r.spec.outcome)
+        if tr == 0.0 and r.estimate.method == METHOD_TRIVIAL_ZERO
+        else ProbeDetail(
             r.spec.treatment,
             r.spec.outcome,
             tr,
@@ -578,6 +593,7 @@ def read_runs_csv(path: str) -> list[RunRecord]:
 
 # Float fields whose null in runs.jsonl (a missing value, NaN) reads back as NaN.
 _RECORD_FLOATS = frozenset(f.name for f in fields(RunRecord) if f.type == "float")
+_PROBE_FIELDS = tuple(f.name for f in fields(ProbeDetail))
 _PROBE_FLOATS = frozenset(f.name for f in fields(ProbeDetail) if f.type == "float")
 
 
@@ -594,24 +610,37 @@ def _null_to_nan(d: dict, floats: frozenset) -> dict:
 
 def _record_to_dict(r: RunRecord) -> dict:
     d = _nan_to_null(asdict(r))
-    d["probes"] = [_nan_to_null(asdict(p)) for p in r.probes]
+    d["probes"] = [list(_nan_to_null(asdict(p)).values()) for p in r.probes]
     return d
+
+
+def _probe_from_json(p) -> ProbeDetail:
+    # A row in field order; files written before rows were used hold objects.
+    if isinstance(p, list):
+        p = dict(zip(_PROBE_FIELDS, p, strict=True))
+    return ProbeDetail(**_null_to_nan(p, _PROBE_FLOATS))
 
 
 def _record_from_dict(d: dict) -> RunRecord:
     d = _null_to_nan(d, _RECORD_FLOATS)
-    d["probes"] = tuple(
-        ProbeDetail(**_null_to_nan(p, _PROBE_FLOATS)) for p in d.get("probes", ())
-    )
+    d["probes"] = tuple(_probe_from_json(p) for p in d.get("probes", ()))
     return RunRecord(**d)
 
 
 def write_runs_jsonl(path: str, records: Sequence[RunRecord]) -> None:
-    """One strict-JSON object per run; a missing (NaN) value is written as null."""
+    """One strict-JSON object per run; a missing (NaN) value is written as
+    null, and each probe as a row [treatment, outcome, truth, estimate,
+    passed]."""
     _atomic_write(
         path,
         (
-            json.dumps(_record_to_dict(r), sort_keys=True, allow_nan=False) + "\n"
+            json.dumps(
+                _record_to_dict(r),
+                sort_keys=True,
+                allow_nan=False,
+                separators=(",", ":"),
+            )
+            + "\n"
             for r in records
         ),
     )

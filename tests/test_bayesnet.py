@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from causalprobe import bayesnet
 from causalprobe.bayesnet import (
     Cbn,
     Cpd,
@@ -225,6 +227,45 @@ class TestIntervention:
                 assert true_ate(net, t, o) == 0.0
         assert true_ate(net, "a", "c") == pytest.approx(0.1)
 
+    def test_limit_is_the_live_width_not_the_node_count(self):
+        # A 40-node chain keeps two nodes live at a time. Each step scales
+        # the effect by p(x_k=1 | x_{k-1}=1) - p(x_k=1 | x_{k-1}=0).
+        labels = [f"x{i}" for i in range(40)]
+        g = Dag(labels, [(i, i + 1) for i in range(39)])
+        cpds = [Cpd("x0", [], [0.5])]
+        want = 1.0
+        for i in range(1, 40):
+            lo = 0.01 * (i % 7)
+            cpds.append(Cpd(labels[i], [labels[i - 1]], [lo, lo + 0.9]))
+            want *= 0.9
+        assert true_ate(Cbn(g, cpds), "x0", "x39") == pytest.approx(want, rel=1e-12)
+
+    def test_capacity_error_comes_before_any_factor(self, monkeypatch):
+        # t -> m0..m13 and m_i -> y_i: t and all fourteen m's are live at
+        # once. At a 14-node budget a pass that checked as it went would
+        # have built a 2**14-cell factor (128 KB) before failing.
+        k = 14
+        ms = [f"m{i}" for i in range(k)]
+        ys = [f"y{i}" for i in range(k)]
+        edges = [(0, 1 + i) for i in range(k)] + [(1 + i, 1 + k + i) for i in range(k)]
+        g = Dag(["t", *ms, *ys], edges)
+        cpds = [Cpd("t", [], [0.5])]
+        cpds += [Cpd(m, ["t"], [0.2, 0.7]) for m in ms]
+        cpds += [Cpd(y, [m], [0.3, 0.6]) for m, y in zip(ms, ys)]
+        net = Cbn(g, cpds)
+        monkeypatch.setattr(bayesnet, "MAX_EXACT_NODES", 14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="live nodes"):
+                true_ate(net, "t", "y0")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert net._effect_rows == {}
+        monkeypatch.setattr(bayesnet, "MAX_EXACT_NODES", 16)
+        assert true_ate(net, "t", "y0") == pytest.approx(0.5 * 0.3)
+
     def test_treatment_equals_outcome_rejected(self):
         with pytest.raises(ValueError):
             true_ate(two_node_net(), "a", "a")
@@ -317,6 +358,13 @@ class TestJson:
             '{"nodes": ["a"], "edges": [], "cpds": [5]}',
             '{"nodes": ["a"], "edges": [], '
             '"cpds": [{"node": "a", "parents": [], "table": 0.5}]}',
+            # a string where a list is expected is not split into characters
+            '{"nodes": ["a", "b", "c"], "edges": [["a", "c"], ["b", "c"]], '
+            '"cpds": [{"node": "a", "parents": [], "table": [0.5]}, '
+            '{"node": "b", "parents": [], "table": [0.5]}, '
+            '{"node": "c", "parents": "ab", "table": [0.1, 0.2, 0.3, 0.4]}]}',
+            '{"nodes": ["a"], "edges": [], '
+            '"cpds": [{"node": "a", "parents": [], "table": "0"}]}',
         ):
             with pytest.raises(ValueError):
                 from_json(doc)

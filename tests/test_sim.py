@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +291,40 @@ class TestSimulateRun:
         ]
         assert pathless and all(t == 0.0 for t in pathless)
 
+    def test_runs_share_the_detail_of_a_zero_probe(self):
+        # A study holds every record until it writes them: a probe whose
+        # truth and estimate are both exactly 0.0 is one object per pair.
+        p = SimParams(n=16, p_edge=0.12, m=200, master_seed=0)
+        first = {(d.treatment, d.outcome): d for d in simulate_run(p, 0).probes}
+        shared = 0
+        for d in simulate_run(p, 1).probes:
+            other = first.get((d.treatment, d.outcome))
+            if other is None or other.truth != 0.0 or other.estimate != 0.0:
+                continue
+            if d.truth == d.estimate == 0.0:
+                assert d is other and d.passed
+                shared += 1
+        assert shared > 0
+
+
+def test_n25_run_fits_its_time_and_memory_budget():
+    # Seed 0, run 0 draws an acyclic graph on its first try. The budgets
+    # hold with tracing on; a dense oracle would need 2**25-cell tables
+    # (256 MB each) and tens of seconds per treatment here.
+    params = SimParams(n=25, p_edge=0.1, m=2000, master_seed=0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rec = simulate_run(params, 0)
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rec.failed, rec.error
+    assert rec.n == 25 and rec.n_probes > 0
+    assert seconds < 10.0
+    assert peak < 16 * 2**20
+
 
 class TestRunStudy:
     def test_zero_runs(self):
@@ -540,6 +576,45 @@ class TestJsonlIo:
         path = str(tmp_path / "runs.jsonl")
         write_runs_jsonl(path, [rec])
         assert read_runs_jsonl(path)[0].probes == rec.probes
+
+    def test_probes_are_rows_and_the_object_form_still_reads(self, tmp_path):
+        rec = make_record(
+            probes=(
+                ProbeDetail("x0", "x2", 0.3, 0.35, True),
+                ProbeDetail("x1", "x2", 0.0, math.nan, False),
+            ),
+            n_probes=2,
+            hit_rate=0.5,
+        )
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [rec])
+        with open(path, encoding="utf-8") as fh:
+            line = fh.read()
+        assert '"probes":[["x0","x2",0.3,0.35,true],["x1","x2",0.0,null,false]]' in line
+        assert ", " not in line and '": ' not in line
+        doc = json.loads(line)
+        doc["probes"] = [
+            dict(zip(("treatment", "outcome", "truth", "estimate", "passed"), p))
+            for p in doc["probes"]
+        ]
+        old = str(tmp_path / "objects.jsonl")
+        with open(old, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        back = read_runs_jsonl(old)[0]
+        assert back.probes[0] == rec.probes[0]
+        assert math.isnan(back.probes[1].estimate)
+        assert read_runs_jsonl(path)[0].probes[0] == rec.probes[0]
+
+    def test_probe_row_of_the_wrong_length_rejected(self, tmp_path):
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [make_record()])
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+        doc["probes"] = [["x0", "x1", 0.1, 0.2]]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc) + "\n")
+        with pytest.raises(DataError, match=r":1: bad record"):
+            read_runs_jsonl(path)
 
     def test_failed_runs_write_strict_json(self, tmp_path):
         recs = run_study(SimParams(n=2, p_edge=0.0, n_runs=2), threads=1)
