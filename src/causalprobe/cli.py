@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
-from .dataset import read_csv
+from .dataset import _atomic_write, read_csv
 from .discovery import Knowledge, parse_knowledge
 from .errors import CausalProbeError, DataError, PipelineError
 from .pipeline import AnalysisConfig, report_to_json, report_to_text, run_end_to_end
@@ -30,7 +30,6 @@ from .sim import (
     AggRow,
     RunRecord,
     SimParams,
-    _atomic_write,
     aggregate,
     filter_connected,
     filter_outliers,
@@ -265,12 +264,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.knowledge, "r", encoding="utf-8") as fh:
             knowledge = parse_knowledge(fh.read())
 
-    cfg = AnalysisConfig(
-        target=target,
-        probes=probe_specs,
-        knowledge=knowledge,
-        penalty=args.penalty if args.penalty is not None else 1.0,
-    )
+    try:
+        cfg = AnalysisConfig(
+            target=target,
+            probes=probe_specs,
+            knowledge=knowledge,
+            penalty=args.penalty if args.penalty is not None else 1.0,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = run_end_to_end(data, cfg)
     json_path = os.path.join(args.out_dir, "report.json")
     _atomic_write(json_path, [report_to_json(result)])

@@ -7,10 +7,13 @@ are all 0 or 1. Conversion is explicit and reports the exact offending cell.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,9 +121,11 @@ def read_csv(path: str) -> RawDataset:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = list(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
@@ -129,20 +134,39 @@ def read_csv(path: str) -> RawDataset:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def write_csv(data: RawDataset | BinaryDataset, path: str) -> None:
-    """Write a dataset as comma-separated text with a header row and LF endings."""
+def _csv_lines(rows: Iterable[Sequence]) -> Iterator[str]:
+    """Each row as one line of CSV text with an LF ending."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(data.columns)
-    if isinstance(data, BinaryDataset):
-        for row in data.values:
-            writer.writerow([int(x) for x in row])
-    else:
-        for row in data.rows:
-            writer.writerow(row)
+    for row in rows:
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temporary file, then rename it over ``path``."""
+    tmp = path + ".tmp"
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(data: RawDataset | BinaryDataset, path: str) -> None:
+    """Write a dataset as comma-separated text with a header row and LF
+    endings, atomically."""
+    if isinstance(data, BinaryDataset):
+        rows = ([int(x) for x in row] for row in data.values)
+    else:
+        rows = data.rows
+    try:
+        _atomic_write(path, _csv_lines(itertools.chain([data.columns], rows)))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

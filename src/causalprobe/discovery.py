@@ -351,48 +351,27 @@ def _meek_closure(n: int, directed: set, undirected: set) -> None:
 def _consistent_extension(n: int, directed: set, undirected: set) -> set:
     """Orient all undirected edges into a DAG with the pattern's colliders.
 
-    Repeatedly finds a node with no outgoing directed edges whose undirected
-    neighbors are adjacent to all of its other neighbors, points that node's
-    undirected edges at it, and removes it. Raises OrientationError when no
-    such node exists, meaning the pattern admits no consistent extension.
+    Repeatedly finds the lowest node with no outgoing directed edges whose
+    undirected neighbors are adjacent to all of its other neighbors, points
+    that node's undirected edges at it, and removes it (Dor and Tarsi, 1992).
+    Raises OrientationError when no such node exists, meaning the pattern
+    admits no consistent extension.
     """
-    dir_left = set(directed)
-    und_left = set(undirected)
+    adj, und_nb, children, _ = _views(n, directed, undirected)
     result = set(directed)
     alive = set(range(n))
     while alive:
-        chosen = -1
-        nb_cache: set[int] = set()
         for x in sorted(alive):
-            if any(a == x for a, b in dir_left):
-                continue
-            nb_und = {b if a == x else a for a, b in und_left if x in (a, b)}
-            nb_all = nb_und | {a for a, b in dir_left if b == x}
-            ok = True
-            for u in nb_und:
-                others = nb_all - {u}
-                for v in others:
-                    if (
-                        (u, v) not in dir_left
-                        and (v, u) not in dir_left
-                        and _und_pair(u, v) not in und_left
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen = x
-                nb_cache = nb_und
+            if not children[x] and all(adj[x] - {u} <= adj[u] for u in und_nb[x]):
                 break
-        if chosen < 0:
+        else:
             raise OrientationError("pattern admits no consistent extension")
-        for u in sorted(nb_cache):
-            result.add((u, chosen))
-            und_left.discard(_und_pair(u, chosen))
-        dir_left = {(a, b) for a, b in dir_left if chosen not in (a, b)}
-        und_left = {e for e in und_left if chosen not in e}
-        alive.discard(chosen)
+        result.update((u, x) for u in und_nb[x])
+        for v in adj[x]:
+            adj[v].discard(x)
+            und_nb[v].discard(x)
+            children[v].discard(x)
+        alive.discard(x)
     return result
 
 

@@ -34,6 +34,7 @@ class Dag:
     _parents: tuple = field(init=False, repr=False, compare=False)
     _children: tuple = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
+    _descendants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
@@ -56,6 +57,12 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(tuple(p) for p in parents))
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "_topo", self._toposort())
+        # A node's descendants are its children and theirs: one pass in
+        # reverse topological order derives every set.
+        desc: list[frozenset[int]] = [frozenset()] * n
+        for v in reversed(self._topo):
+            desc[v] = frozenset(children[v]).union(*(desc[c] for c in children[v]))
+        object.__setattr__(self, "_descendants", tuple(desc))
 
     def _toposort(self) -> tuple[int, ...]:
         indeg = [len(p) for p in self._parents]
@@ -91,15 +98,7 @@ class Dag:
 
     def descendants(self, v: int) -> frozenset[int]:
         """All nodes reachable from v by a directed path of length >= 1."""
-        self._check(v)
-        seen: set[int] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self._children[u])
-        return frozenset(seen)
+        return self._descendants[self._check(v)]
 
     def topological_order(self) -> tuple[int, ...]:
         """Topological order with ties broken by node index."""
@@ -111,21 +110,8 @@ class Dag:
         has_directed_path(u, u) is False by convention: acyclicity rules out
         any directed path from a node back to itself.
         """
-        self._check(u)
-        self._check(v)
-        if u == v:
-            return False
-        queue = deque(self._children[u])
-        seen = set(queue)
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                return True
-            for c in self._children[w]:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return False
+        reachable = self.descendants(u)
+        return self._check(v) in reachable
 
     def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Dag":
         """New Dag over the same labels with the given edge set."""

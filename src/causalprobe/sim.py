@@ -10,21 +10,20 @@ and parallelizes without affecting its output.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bayesnet import Cbn, random_cpds, sample, true_ate
+from .dataset import _atomic_write, _csv_lines
 from .discovery import pick_hint_edges
 from .errors import (
     DataError,
@@ -180,9 +179,7 @@ def select_target(
     g = net.graph
     candidates = []
     for t in range(g.n):
-        for o in range(g.n):
-            if t == o or not g.has_directed_path(t, o):
-                continue
+        for o in sorted(g.descendants(t)):
             effect = true_ate(net, g.labels[t], g.labels[o])
             if abs(effect) > ATE_ZERO_TOLERANCE:
                 candidates.append((g.labels[t], g.labels[o]))
@@ -530,33 +527,10 @@ def _parse_cell(kind: str, column: str, text: str):
         raise DataError(f"bad {noun} {text!r} in column {column!r}") from None
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to a temporary file, then rename it over ``path``."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
-
-
 def _write_table(path: str, columns: tuple[str, ...], rows: Iterable) -> None:
     """Write the named attributes of ``rows`` as CSV, one line at a time."""
-
-    def lines() -> Iterator[str]:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        cells = ([_format_cell(getattr(r, c)) for c in columns] for r in rows)
-        for row in itertools.chain([columns], cells):
-            writer.writerow(row)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-
-    _atomic_write(path, lines())
+    cells = ([_format_cell(getattr(r, c)) for c in columns] for r in rows)
+    _atomic_write(path, _csv_lines(itertools.chain([columns], cells)))
 
 
 def _read_table(path: str, cls: type, columns: tuple[str, ...], what: str) -> list:
@@ -566,19 +540,22 @@ def _read_table(path: str, cls: type, columns: tuple[str, ...], what: str) -> li
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if tuple(next(reader, ())) != columns:
-            raise DataError(f"{path}: not {what} file")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(columns):
-                raise DataError(f"{where}: ragged row {row!r}")
-            try:
-                out.append(cls(**{
-                    c: _parse_cell(kinds[c], c, text)
-                    for c, text in zip(columns, row)
-                }))
-            except (DataError, ValueError) as exc:
-                raise DataError(f"{where}: bad record: {exc}") from exc
+        try:
+            if tuple(next(reader, ())) != columns:
+                raise DataError(f"{path}: not {what} file")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(columns):
+                    raise DataError(f"{where}: ragged row {row!r}")
+                try:
+                    out.append(cls(**{
+                        c: _parse_cell(kinds[c], c, text)
+                        for c, text in zip(columns, row)
+                    }))
+                except (DataError, ValueError) as exc:
+                    raise DataError(f"{where}: bad record: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
 
 
@@ -591,17 +568,15 @@ def read_runs_csv(path: str) -> list[RunRecord]:
     return _read_table(path, RunRecord, RUNS_CSV_COLUMNS, "a runs.csv")
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_PROBE_FIELDS = tuple(f.name for f in fields(ProbeDetail))
 # Float fields whose null in runs.jsonl (a missing value, NaN) reads back as NaN.
 _RECORD_FLOATS = frozenset(f.name for f in fields(RunRecord) if f.type == "float")
-_PROBE_FIELDS = tuple(f.name for f in fields(ProbeDetail))
 _PROBE_FLOATS = frozenset(f.name for f in fields(ProbeDetail) if f.type == "float")
 
 
-def _nan_to_null(d: dict) -> dict:
-    return {
-        k: None if isinstance(v, float) and math.isnan(v) else v
-        for k, v in d.items()
-    }
+def _nan_to_null(v):
+    return None if isinstance(v, float) and math.isnan(v) else v
 
 
 def _null_to_nan(d: dict, floats: frozenset) -> dict:
@@ -609,8 +584,10 @@ def _null_to_nan(d: dict, floats: frozenset) -> dict:
 
 
 def _record_to_dict(r: RunRecord) -> dict:
-    d = _nan_to_null(asdict(r))
-    d["probes"] = [list(_nan_to_null(asdict(p)).values()) for p in r.probes]
+    d = {k: _nan_to_null(getattr(r, k)) for k in _RECORD_FIELDS}
+    d["probes"] = [
+        [_nan_to_null(getattr(p, k)) for k in _PROBE_FIELDS] for p in r.probes
+    ]
     return d
 
 

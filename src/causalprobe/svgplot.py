@@ -59,7 +59,9 @@ def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
     return to_px
 
 
-def _frame(title: str, x_label: str, y_label: str, x_rng, y_rng) -> list[str]:
+def _frame(title: str, x_label: str, y_label: str, x_rng, y_rng):
+    """The chart's opening lines (canvas, title, grid, axes, labels) and its
+    data-to-pixel scales: (lines, x_px, y_px)."""
     x_px = _scale(x_rng[0], x_rng[1], _PLOT_LEFT, _PLOT_RIGHT)
     y_px = _scale(y_rng[0], y_rng[1], _PLOT_BOTTOM, _PLOT_TOP)
     lines = [
@@ -111,7 +113,7 @@ def _frame(title: str, x_label: str, y_label: str, x_rng, y_rng) -> list[str]:
         f'transform="rotate(-90 20 {(_PLOT_TOP + _PLOT_BOTTOM) / 2:.1f})">'
         f"{_escape(y_label)}</text>"
     )
-    return lines
+    return lines, x_px, y_px
 
 
 def _finish(lines: list[str]) -> str:
@@ -136,9 +138,7 @@ def scatter_svg(
     pts = _check_points(points)
     x_rng = _axis_range([p[0] for p in pts])
     y_rng = _axis_range([p[1] for p in pts])
-    x_px = _scale(x_rng[0], x_rng[1], _PLOT_LEFT, _PLOT_RIGHT)
-    y_px = _scale(y_rng[0], y_rng[1], _PLOT_BOTTOM, _PLOT_TOP)
-    lines = _frame(title, x_label, y_label, x_rng, y_rng)
+    lines, x_px, y_px = _frame(title, x_label, y_label, x_rng, y_rng)
     for x, y in pts:
         lines.append(
             f'<circle cx="{x_px(x):.2f}" cy="{y_px(y):.2f}" r="3" '
@@ -157,9 +157,7 @@ def means_svg(
     pts = sorted(_check_points(points))
     x_rng = _axis_range([p[0] for p in pts])
     y_rng = _axis_range([p[1] for p in pts])
-    x_px = _scale(x_rng[0], x_rng[1], _PLOT_LEFT, _PLOT_RIGHT)
-    y_px = _scale(y_rng[0], y_rng[1], _PLOT_BOTTOM, _PLOT_TOP)
-    lines = _frame(title, x_label, y_label, x_rng, y_rng)
+    lines, x_px, y_px = _frame(title, x_label, y_label, x_rng, y_rng)
     if len(pts) > 1:
         path = " ".join(f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in pts)
         lines.append(
@@ -188,8 +186,7 @@ def histogram_svg(
         raise ValueError("counts must be >= 0")
     x_rng = _axis_range([x for x, _ in data], pad_fraction=0.15)
     y_rng = (0.0, max(max(c for _, c in data), 1) * 1.05)
-    x_px = _scale(x_rng[0], x_rng[1], _PLOT_LEFT, _PLOT_RIGHT)
-    y_px = _scale(y_rng[0], y_rng[1], _PLOT_BOTTOM, _PLOT_TOP)
+    lines, x_px, y_px = _frame(title, x_label, y_label, x_rng, y_rng)
     if len(data) > 1:
         min_gap = min(
             b[0] - a[0] for a, b in zip(data, data[1:]) if b[0] > a[0]
@@ -199,7 +196,6 @@ def histogram_svg(
         )
     else:
         bar_w = (_PLOT_RIGHT - _PLOT_LEFT) * 0.2
-    lines = _frame(title, x_label, y_label, x_rng, y_rng)
     for x, count in data:
         top = y_px(float(count))
         left = x_px(x) - bar_w / 2

@@ -736,3 +736,51 @@ class TestAnalyze:
         )
         assert rc == 2
         assert "moat" in capsys.readouterr().err
+
+    def test_oversized_cell_is_data_error(self, workdir, capsys):
+        # The csv module refuses a field beyond 131,072 characters.
+        path = str(workdir / "huge.csv")
+        with open(path, "w") as fh:
+            fh.write("sprinkler,slippery\n0,1\n1," + "0" * 131_073 + "\n")
+        rc = main(
+            [
+                "analyze",
+                path,
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,slippery",
+            ]
+        )
+        assert rc == 1
+        assert f"{path}:3: " in capsys.readouterr().err
+
+    def test_nonpositive_penalty_is_usage_error(self, workdir, capsys):
+        rc = main(
+            [
+                "analyze",
+                str(workdir / "data.csv"),
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,slippery",
+                "--penalty",
+                "0",
+            ]
+        )
+        assert rc == 2
+        assert "penalty" in capsys.readouterr().err
+
+    def test_self_target_is_usage_error(self, workdir, capsys):
+        rc = main(
+            [
+                "analyze",
+                str(workdir / "data.csv"),
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,sprinkler",
+            ]
+        )
+        assert rc == 2
+        assert "distinct" in capsys.readouterr().err

@@ -1,6 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
+from causalprobe import dataset
 from causalprobe.dataset import (
     BinaryDataset,
     RawDataset,
@@ -98,6 +102,28 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_csv(str(tmp_path / "absent.csv"))
+
+    def test_oversized_cell_names_file_and_line(self, tmp_path):
+        # The csv module refuses a field beyond 131,072 characters.
+        p = str(tmp_path / "huge.csv")
+        with open(p, "w") as fh:
+            fh.write("a\n0\n" + "1" * 131_073 + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(p)}:3: "):
+            read_csv(p)
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_text("old\n")
+
+        def failing_lines(rows):
+            yield "color,size,sold\n"
+            raise RuntimeError("write failed midway")
+
+        monkeypatch.setattr(dataset, "_csv_lines", failing_lines)
+        with pytest.raises(RuntimeError):
+            write_csv(make_raw(), str(p))
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"

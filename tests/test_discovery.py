@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from causalprobe.bayesnet import Cbn, Cpd, random_cpds, sample
 from causalprobe.dataset import BinaryDataset
 from causalprobe.discovery import (
+    _consistent_extension,
     Cpdag,
     Knowledge,
     bic_score,
@@ -307,6 +309,83 @@ class TestOrientToDag:
         p = Cpdag("ab", undirected=[(0, 1)])
         with pytest.raises(KnowledgeError):
             orient_to_dag(p, Knowledge(forbidden=[("a", "zz")]))
+
+
+def unshielded_colliders(directed, skeleton):
+    """(x, z, y), x < y, for x -> z <- y with x and y nonadjacent."""
+    return {
+        (x, z, y)
+        for x, z in directed
+        for y, w in directed
+        if w == z and x < y and (x, y) not in skeleton
+    }
+
+
+class TestConsistentExtension:
+    """An extension of a PDAG orients its undirected edges into a DAG that
+    keeps every directed edge and has the same unshielded colliders."""
+
+    @staticmethod
+    def has_extension(n, directed, undirected):
+        labels = [f"v{i}" for i in range(n)]
+        skeleton = {(min(e), max(e)) for e in directed} | undirected
+        want = unshielded_colliders(directed, skeleton)
+        und = sorted(undirected)
+        for flips in itertools.product((False, True), repeat=len(und)):
+            edges = directed | {(b, a) if f else (a, b) for (a, b), f in zip(und, flips)}
+            try:
+                Dag(labels, edges)
+            except ValueError:
+                continue
+            if unshielded_colliders(edges, skeleton) == want:
+                return True
+        return False
+
+    def check(self, n, directed, undirected):
+        """Compare against brute force; True iff an extension exists."""
+        if not self.has_extension(n, directed, undirected):
+            with pytest.raises(OrientationError):
+                _consistent_extension(n, set(directed), set(undirected))
+            return False
+        out = _consistent_extension(n, set(directed), set(undirected))
+        Dag([f"v{i}" for i in range(n)], out)  # acyclic
+        skeleton = {(min(e), max(e)) for e in directed} | undirected
+        assert len(out) == len(skeleton)
+        assert {(min(e), max(e)) for e in out} == skeleton
+        assert directed <= out
+        assert unshielded_colliders(out, skeleton) == unshielded_colliders(
+            directed, skeleton
+        )
+        return True
+
+    def test_random_pdags_agree_with_brute_force(self):
+        # CPDAGs of dense random DAGs (edges follow a random node order) with
+        # some undirected edges oriented at random; a few admit no extension.
+        rng = np.random.default_rng(17)
+        outcomes = []
+        for _ in range(600):
+            n = int(rng.integers(2, 7))
+            order = rng.permutation(n).tolist()
+            edges = [
+                (order[i], order[j])
+                for i, j in itertools.combinations(range(n), 2)
+                if rng.random() < 0.6
+            ]
+            p = dag_to_cpdag(Dag([f"v{i}" for i in range(n)], edges))
+            directed, undirected = set(p.directed), set()
+            for a, b in sorted(p.undirected):
+                r = rng.random()
+                if r < 0.35:
+                    directed.add((a, b))
+                elif r < 0.7:
+                    directed.add((b, a))
+                else:
+                    undirected.add((a, b))
+            outcomes.append(self.check(n, directed, undirected))
+        assert 20 < outcomes.count(False) < 100
+
+    def test_chordless_four_cycle_has_no_extension(self):
+        assert not self.check(4, set(), {(0, 1), (1, 2), (2, 3), (0, 3)})
 
 
 class TestGes:

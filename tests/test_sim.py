@@ -535,6 +535,14 @@ class TestCsvIo:
         with pytest.raises(DataError, match=rf"^{re.escape(path)}:3: .*hit_rate"):
             read_runs_csv(path)
 
+    def test_oversized_cell_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "runs.csv")
+        write_runs_csv(path, [make_record()])
+        with open(path, "a") as fh:
+            fh.write("0," + "9" * 131_073 + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(path)}:3: "):
+            read_runs_csv(path)
+
     def test_agg_round_trip(self, tmp_path):
         rows = aggregate(
             [
