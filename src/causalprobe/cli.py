@@ -109,18 +109,10 @@ def _params_from(args: argparse.Namespace) -> SimParams:
                 raise UsageError(
                     f"config key {key!r}: bad value {text!r}"
                 ) from None
-    overrides = {
-        "n": args.n,
-        "p_edge": args.p_edge,
-        "m": args.m,
-        "p_hint": args.p_hint,
-        "p_probe": args.p_probe,
-        "eps_probe": args.eps_probe,
-        "n_runs": args.runs,
-        "master_seed": args.seed,
-        "penalty": args.penalty,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    # Each flag stores to its field's name, except the shared --seed.
+    flags = {k: getattr(args, k) for k in _PARAM_FIELDS if k != "master_seed"}
+    flags["master_seed"] = args.seed
+    values.update({k: v for k, v in flags.items() if v is not None})
     try:
         return SimParams(**values)
     except ValueError as exc:
@@ -170,14 +162,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
                 f"run {r.run_index}: hit_rate={r.hit_rate!r} "
                 f"abs_err={r.abs_err!r} shd={r.shd}"
             )
-            if r.true_graph:
-                print("  true graph:")
-                for line in r.true_graph.rstrip("\n").splitlines():
-                    print(f"    {line}")
-            if r.discovered_graph:
-                print("  discovered graph:")
-                for line in r.discovered_graph.rstrip("\n").splitlines():
-                    print(f"    {line}")
+            for name, text in (
+                ("true", r.true_graph),
+                ("discovered", r.discovered_graph),
+            ):
+                if text:
+                    print(f"  {name} graph:")
+                    for line in text.rstrip("\n").splitlines():
+                        print(f"    {line}")
         return 0
     records = read_runs_csv(args.runs_csv)
     if args.connected_only:
@@ -323,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p-hint", type=float, default=None)
     p_sim.add_argument("--p-probe", type=float, default=None)
     p_sim.add_argument("--eps-probe", type=float, default=None)
-    p_sim.add_argument("--runs", type=int, default=None, help="run count")
+    p_sim.add_argument(
+        "--runs", dest="n_runs", type=int, default=None, help="run count"
+    )
     p_sim.add_argument("--penalty", type=float, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

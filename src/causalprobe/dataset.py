@@ -94,11 +94,7 @@ class BinaryDataset:
     def n_rows(self) -> int:
         return int(self.values.shape[0])
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise DataError(f"unknown column {name!r}") from None
+    column_index = RawDataset.column_index
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]

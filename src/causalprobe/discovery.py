@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import BinaryDataset, state_index
 from .errors import CapacityError, DataError, KnowledgeError, OrientationError
-from .graph import Dag
+from .graph import Dag, _check_labels
 
 MAX_SCORE_PARENTS = 15
 _IMPROVEMENT_TOL = 1e-10
@@ -112,7 +112,11 @@ def parse_knowledge(text: str) -> Knowledge:
 
 
 def format_knowledge(k: Knowledge) -> str:
-    """Render knowledge in the line format accepted by :func:`parse_knowledge`."""
+    """Render knowledge in the line format accepted by :func:`parse_knowledge`.
+
+    Raises ValueError for a node name that format would not read back.
+    """
+    _check_labels(sorted(k.node_names()), "#", "->")
     lines = [f"require {a} -> {b}" for a, b in sorted(k.required)]
     lines += [f"forbid {a} -> {b}" for a, b in sorted(k.forbidden)]
     return "\n".join(lines) + "\n" if lines else ""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GraphGenerationError
 
-DEFAULT_REJECTION_CAP = 10_000
+REJECTION_CAP = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,28 +129,21 @@ class Dag:
         return v
 
 
-def random_dag(
-    n: int,
-    p_edge: float,
-    rng: np.random.Generator,
-    labels: Sequence[str] | None = None,
-    max_rejections: int = DEFAULT_REJECTION_CAP,
-) -> Dag:
-    """Draw a random DAG by rejection sampling.
+def random_dag(n: int, p_edge: float, rng: np.random.Generator) -> Dag:
+    """Draw a random DAG over the labels x0..x(n-1) by rejection sampling.
 
     Every ordered pair (i, j) with i != j is included independently with
     probability ``p_edge``; a cyclic draw is discarded wholesale and redrawn.
-    Raises GraphGenerationError after ``max_rejections`` discarded draws,
-    which signals that ``p_edge`` is too high for ``n``.
+    Raises GraphGenerationError after REJECTION_CAP discarded draws, which
+    signals that ``p_edge`` is too high for ``n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p_edge <= 1.0:
         raise ValueError("p_edge must lie in [0, 1]")
-    if labels is None:
-        # Interned, so the records of a study's runs share one copy of each.
-        labels = tuple(sys.intern(f"x{i}") for i in range(n))
-    for _ in range(max_rejections + 1):
+    # Interned, so the records of a study's runs share one copy of each.
+    labels = tuple(sys.intern(f"x{i}") for i in range(n))
+    for _ in range(REJECTION_CAP + 1):
         mask = rng.random((n, n)) < p_edge
         np.fill_diagonal(mask, False)
         rows, cols = np.nonzero(mask)
@@ -159,7 +152,7 @@ def random_dag(
         except ValueError:
             continue
     raise GraphGenerationError(
-        f"no acyclic draw in {max_rejections} attempts (n={n}, p_edge={p_edge})"
+        f"no acyclic draw in {REJECTION_CAP} attempts (n={n}, p_edge={p_edge})"
     )
 
 
@@ -202,11 +195,25 @@ def is_weakly_connected(g: Dag) -> bool:
     return len(seen) == g.n
 
 
-def to_text(g: Dag) -> str:
-    """Serialize to the line format: a `nodes:` header then one edge per line."""
-    for label in g.labels:
-        if "," in label or "->" in label or "\n" in label:
+def _check_labels(labels: Iterable[str], *tokens: str) -> None:
+    """Raise ValueError for a label that a line format would not read back
+    unchanged: one that is empty, spans lines, has surrounding whitespace, or
+    contains one of ``tokens`` once a space is put on each side of it."""
+    for label in labels:
+        if (
+            label.splitlines() != [label]
+            or label != label.strip()
+            or any(t in f" {label} " for t in tokens)
+        ):
             raise ValueError(f"label {label!r} cannot be serialized")
+
+
+def to_text(g: Dag) -> str:
+    """Serialize to the line format: a `nodes:` header then one edge per line.
+
+    Raises ValueError for a label :func:`from_text` would not read back.
+    """
+    _check_labels(g.labels, ",", "->")
     lines = ["nodes: " + ", ".join(g.labels)]
     for a, b in sorted(g.edges):
         lines.append(f"{g.labels[a]} -> {g.labels[b]}")

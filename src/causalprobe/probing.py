@@ -13,6 +13,7 @@ from typing import Sequence, Union
 
 from .errors import DataError
 from .estimation import AteEstimate
+from .graph import _check_labels
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,13 @@ def format_expectation(e: Expectation) -> str:
 
 
 def format_probes(specs: Sequence[ProbeSpec]) -> str:
-    """Render probes in the line format accepted by :func:`parse_probes`."""
+    """Render probes in the line format accepted by :func:`parse_probes`.
+
+    Raises ValueError for a node name that format would not read back.
+    """
+    _check_labels(
+        (x for s in specs for x in (s.treatment, s.outcome)), "#", "->", " expect "
+    )
     lines = [
         f"probe {s.treatment} -> {s.outcome} expect "
         f"{format_expectation(s.expectation)}"

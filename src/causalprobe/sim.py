@@ -69,6 +69,8 @@ MAX_NETWORK_ATTEMPTS = 100
 
 ATE_ZERO_TOLERANCE = 1e-12
 
+OUTLIER_ABS_ERR = 0.2
+
 
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 generator; a 64-bit avalanche mix."""
@@ -215,17 +217,22 @@ def select_probes(
     return [candidates[i] for i in sorted(int(c) for c in chosen)]
 
 
-def _failed_record(
-    params: SimParams,
-    run_index: int,
-    run_seed: int,
-    error: str,
-    *,
-    true_graph: str = "",
-    target: tuple[str, str] = ("", ""),
-    truth: float = math.nan,
-    connected: bool = False,
-) -> RunRecord:
+def _record(params: SimParams, run_index: int, run_seed: int, **outcome) -> RunRecord:
+    """A run's record: its index, seed and study parameters, plus ``outcome``.
+    Fields ``outcome`` leaves out read as in a failed run that measured nothing."""
+    unmeasured = dict(
+        target_treatment="",
+        target_outcome="",
+        true_ate=math.nan,
+        est_ate=math.nan,
+        abs_err=math.nan,
+        rel_err=math.nan,
+        shd=0,
+        hit_rate=math.nan,
+        n_probes=0,
+        connected=False,
+        failed=True,
+    )
     return RunRecord(
         run_index=run_index,
         run_seed=run_seed,
@@ -235,19 +242,7 @@ def _failed_record(
         p_hint=params.p_hint,
         p_probe=params.p_probe,
         eps_probe=params.eps_probe,
-        target_treatment=target[0],
-        target_outcome=target[1],
-        true_ate=truth,
-        est_ate=math.nan,
-        abs_err=math.nan,
-        rel_err=math.nan,
-        shd=0,
-        hit_rate=math.nan,
-        n_probes=0,
-        connected=connected,
-        failed=True,
-        true_graph=true_graph,
-        error=error,
+        **{**unmeasured, **outcome},
     )
 
 
@@ -265,15 +260,13 @@ def _zero_probe(treatment: str, outcome: str) -> ProbeDetail:
 
 def simulate_run(params: SimParams, run_index: int) -> RunRecord:
     """One fully seeded simulation run; deterministic in its arguments."""
-    graph = None
-    seed = derive_seed(params.master_seed, run_index, 0)
     for attempt in range(MAX_NETWORK_ATTEMPTS):
         seed = derive_seed(params.master_seed, run_index, attempt)
         rng = np.random.default_rng(seed)
         try:
             graph = random_dag(params.n, params.p_edge, rng)
         except GraphGenerationError as exc:
-            return _failed_record(params, run_index, seed, str(exc))
+            return _record(params, run_index, seed, error=str(exc))
         net = random_cpds(graph, rng)
         data = sample(net, params.m, rng)
         hints = pick_hint_edges(graph, params.p_hint, rng)
@@ -284,12 +277,12 @@ def simulate_run(params: SimParams, run_index: int) -> RunRecord:
         probe_pairs = select_probes(graph, target, params.p_probe, rng)
         break
     else:
-        return _failed_record(
+        return _record(
             params,
             run_index,
             seed,
-            f"degenerate network in {MAX_NETWORK_ATTEMPTS} attempts",
-            true_graph=to_text(graph) if graph is not None else "",
+            error=f"degenerate network in {MAX_NETWORK_ATTEMPTS} attempts",
+            true_graph=to_text(graph),
         )
 
     truth = true_ate(net, *target)
@@ -304,20 +297,17 @@ def simulate_run(params: SimParams, run_index: int) -> RunRecord:
         knowledge=hints,
         penalty=params.penalty,
     )
-    connected = is_weakly_connected(graph)
+    known = dict(
+        target_treatment=target[0],
+        target_outcome=target[1],
+        true_ate=truth,
+        connected=is_weakly_connected(graph),
+        true_graph=to_text(graph),
+    )
     try:
         result = run_end_to_end(data, cfg)
     except PipelineError as exc:
-        return _failed_record(
-            params,
-            run_index,
-            seed,
-            str(exc),
-            true_graph=to_text(graph),
-            target=target,
-            truth=truth,
-            connected=connected,
-        )
+        return _record(params, run_index, seed, error=str(exc), **known)
 
     est = result.report.target.value
     details = tuple(
@@ -332,45 +322,34 @@ def simulate_run(params: SimParams, run_index: int) -> RunRecord:
         )
         for r, tr in zip(result.report.probes, probe_truths)
     )
-    return RunRecord(
-        run_index=run_index,
-        run_seed=seed,
-        n=params.n,
-        p_edge=params.p_edge,
-        m=params.m,
-        p_hint=params.p_hint,
-        p_probe=params.p_probe,
-        eps_probe=params.eps_probe,
-        target_treatment=target[0],
-        target_outcome=target[1],
-        true_ate=truth,
+    return _record(
+        params,
+        run_index,
+        seed,
         est_ate=est,
         abs_err=abs(est - truth),
         rel_err=abs((est - truth) / truth),
         shd=shd(result.discovered, graph),
         hit_rate=result.report.hit_rate,
         n_probes=len(details),
-        connected=connected,
         failed=False,
-        true_graph=to_text(graph),
         discovered_graph=to_text(result.discovered),
         probes=details,
+        **known,
     )
 
 
 def run_study(params: SimParams, threads: int | None = None) -> list[RunRecord]:
-    """Run the whole study; output is independent of the thread count."""
+    """The study's records in run order, independent of the thread count."""
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError("threads must be >= 1")
     indices = range(params.n_runs)
     if threads == 1 or params.n_runs <= 1:
-        records = [simulate_run(params, i) for i in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(partial(simulate_run, params), indices))
-    return sorted(records, key=lambda r: r.run_index)
+        return [simulate_run(params, i) for i in indices]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(partial(simulate_run, params), indices))
 
 
 @dataclass(frozen=True)
@@ -418,16 +397,11 @@ def filter_connected(records: Sequence[RunRecord]) -> list[RunRecord]:
     return [r for r in records if r.connected]
 
 
-def filter_outliers(
-    records: Sequence[RunRecord],
-    hit_threshold: float = 1.0,
-    err_threshold: float = 0.2,
-) -> list[RunRecord]:
-    """Runs that look perfect by probing yet estimate the target badly."""
+def filter_outliers(records: Sequence[RunRecord]) -> list[RunRecord]:
+    """Runs that look perfect by probing (hit rate 1.0) yet estimate the
+    target badly (absolute error at least OUTLIER_ABS_ERR)."""
     return [
-        r
-        for r in records
-        if r.hit_rate >= hit_threshold and r.abs_err >= err_threshold
+        r for r in records if r.hit_rate >= 1.0 and r.abs_err >= OUTLIER_ABS_ERR
     ]
 
 

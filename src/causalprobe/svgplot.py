@@ -187,13 +187,9 @@ def histogram_svg(
     x_rng = _axis_range([x for x, _ in data], pad_fraction=0.15)
     y_rng = (0.0, max(max(c for _, c in data), 1) * 1.05)
     lines, x_px, y_px = _frame(title, x_label, y_label, x_rng, y_rng)
-    if len(data) > 1:
-        min_gap = min(
-            b[0] - a[0] for a, b in zip(data, data[1:]) if b[0] > a[0]
-        )
-        bar_w = (
-            (x_px(x_rng[0] + min_gap) - x_px(x_rng[0])) * 0.8
-        )
+    gaps = [b[0] - a[0] for a, b in zip(data, data[1:]) if b[0] > a[0]]
+    if gaps:
+        bar_w = (x_px(x_rng[0] + min(gaps)) - x_px(x_rng[0])) * 0.8
     else:
         bar_w = (_PLOT_RIGHT - _PLOT_LEFT) * 0.2
     for x, count in data:

@@ -1,6 +1,6 @@
 """Property tests: invariants checked on generated graphs, columns, joint
-tables, networks and knowledge-constrained searches against direct reference
-computations."""
+tables, networks, knowledge-constrained searches and text formats against
+direct reference computations."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,11 +22,23 @@ from causalprobe.discovery import (
     Knowledge,
     dag_to_cpdag,
     dagv_structures,
+    format_knowledge,
     ges,
     orient_to_dag,
+    parse_knowledge,
     pick_hint_edges,
 )
-from causalprobe.graph import Dag, from_text
+from causalprobe.graph import Dag, from_text, to_text
+from causalprobe.probing import (
+    GreaterThan,
+    Interval,
+    LessThan,
+    NonZero,
+    Point,
+    ProbeSpec,
+    format_probes,
+    parse_probes,
+)
 from causalprobe.sim import SimParams, derive_seed, simulate_run
 
 PROPERTY = settings(
@@ -229,3 +241,65 @@ def test_search_without_knowledge_returns_the_pattern_of_its_extension(case):
     data, _ = case
     pattern = ges(data)
     assert dag_to_cpdag(orient_to_dag(pattern)) == pattern
+
+
+# Plain names, or names built from pieces a line format may split, strip or
+# cut at.
+labels = st.one_of(
+    st.sampled_from(["a", "b", "c", "d", "e"]),
+    st.lists(
+        st.sampled_from(
+            ["a", "b", " ", "\t", "#", ",", "-", ">", "->", "\r", "\n",
+             "\u2028", "expect", " expect", "expect "]
+        ),
+        max_size=4,
+    ).map("".join),
+)
+
+
+def _writes_nothing_or_round_trips(write, read, value):
+    try:
+        text = write(value)
+    except ValueError:
+        return
+    assert read(text) == value
+
+
+@PROPERTY
+@given(dags(max_nodes=5), st.data())
+def test_graph_text_round_trips_or_the_writer_refuses(g, data):
+    names = data.draw(st.lists(labels, min_size=g.n, max_size=g.n, unique=True))
+    _writes_nothing_or_round_trips(to_text, from_text, Dag(names, g.edges))
+
+
+@PROPERTY
+@given(st.lists(labels, min_size=2, max_size=4, unique=True), st.data())
+def test_knowledge_text_round_trips_or_the_writer_refuses(names, data):
+    # Required pairs run forward in the list, so they are acyclic.
+    forward = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    both = [(a, b) for a in names for b in names if a != b]
+    required = data.draw(st.sets(st.sampled_from(forward)))
+    forbidden = data.draw(st.sets(st.sampled_from(both))) - required
+    _writes_nothing_or_round_trips(
+        format_knowledge, parse_knowledge, Knowledge(required, forbidden)
+    )
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            labels,
+            labels,
+            st.sampled_from(
+                [Point(0.5, 0.1), Interval(-0.25, 0.75), GreaterThan(0.0),
+                 LessThan(-0.5), NonZero(0.05)]
+            ),
+        ).filter(lambda p: p[0] != p[1]),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_probe_text_round_trips_or_the_writer_refuses(probes):
+    specs = tuple(ProbeSpec(*p) for p in probes)
+    _writes_nothing_or_round_trips(format_probes, parse_probes, specs)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from causalprobe import sim
 from causalprobe.bayesnet import Cbn, Cpd
-from causalprobe.errors import DataError, DegenerateNetworkError
+from causalprobe.errors import DataError, DegenerateNetworkError, PipelineError
 from causalprobe.graph import Dag, from_text
 from causalprobe.sim import (
     AGG_CSV_COLUMNS,
@@ -276,6 +278,91 @@ class TestSimulateRun:
         assert "degenerate" in r.error
         assert math.isnan(r.est_ate)
 
+    def test_failed_records_pin_every_field(self, monkeypatch, tmp_path):
+        # One case per failure exit of simulate_run: the generator gives up,
+        # every attempt is degenerate, the pipeline raises.
+        def pipeline_fails(data, cfg):
+            raise PipelineError("estimation", ValueError("singular design"))
+
+        gen = simulate_run(SimParams(n=6, p_edge=0.9), 0)
+        degenerate = simulate_run(SimParams(n=2, p_edge=0.0), 0)
+        monkeypatch.setattr(sim, "run_end_to_end", pipeline_fails)
+        pipeline = simulate_run(SimParams(n=4, p_edge=0.5, m=50, master_seed=3), 2)
+
+        nan = math.nan
+        common = dict(
+            p_hint=0.3, p_probe=0.5, eps_probe=0.1, est_ate=nan, abs_err=nan,
+            rel_err=nan, shd=0, hit_rate=nan, n_probes=0, failed=True,
+            discovered_graph="", probes=(),
+        )
+        graph4 = "nodes: x0, x1, x2, x3\nx0 -> x3\nx1 -> x0\nx2 -> x0\nx2 -> x1\nx2 -> x3\n"
+        cases = [
+            (gen, dict(
+                run_index=0, run_seed=2558736989570252433, n=6, p_edge=0.9,
+                m=1000, target_treatment="", target_outcome="", true_ate=nan,
+                connected=False, true_graph="",
+                error="no acyclic draw in 10000 attempts (n=6, p_edge=0.9)",
+            )),
+            (degenerate, dict(
+                run_index=0, run_seed=14883332845613455354, n=2, p_edge=0.0,
+                m=1000, target_treatment="", target_outcome="", true_ate=nan,
+                connected=False, true_graph="nodes: x0, x1\n",
+                error="degenerate network in 100 attempts",
+            )),
+            (pipeline, dict(
+                run_index=2, run_seed=940761850445385982, n=4, p_edge=0.5,
+                m=50, target_treatment="x2", target_outcome="x0",
+                true_ate=-0.16026759010575142, connected=True,
+                true_graph=graph4,
+                error="stage 'estimation' failed: singular design",
+            )),
+        ]
+        for rec, want in cases:
+            want = {**common, **want}
+            assert set(want) == {f.name for f in dataclasses.fields(RunRecord)}
+            for name, value in want.items():
+                got = getattr(rec, name)
+                if isinstance(value, float) and math.isnan(value):
+                    assert math.isnan(got), name
+                else:
+                    assert got == value and type(got) is type(value), name
+
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [rec for rec, _ in cases])
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines == [
+            # generation failure
+            '{"abs_err":null,"connected":false,"discovered_graph":"",'
+            '"eps_probe":0.1,'
+            '"error":"no acyclic draw in 10000 attempts (n=6, p_edge=0.9)",'
+            '"est_ate":null,"failed":true,"hit_rate":null,"m":1000,"n":6,'
+            '"n_probes":0,"p_edge":0.9,"p_hint":0.3,"p_probe":0.5,'
+            '"probes":[],"rel_err":null,"run_index":0,'
+            '"run_seed":2558736989570252433,"shd":0,"target_outcome":"",'
+            '"target_treatment":"","true_ate":null,"true_graph":""}',
+            # degenerate network
+            '{"abs_err":null,"connected":false,"discovered_graph":"",'
+            '"eps_probe":0.1,"error":"degenerate network in 100 attempts",'
+            '"est_ate":null,"failed":true,"hit_rate":null,"m":1000,"n":2,'
+            '"n_probes":0,"p_edge":0.0,"p_hint":0.3,"p_probe":0.5,'
+            '"probes":[],"rel_err":null,"run_index":0,'
+            '"run_seed":14883332845613455354,"shd":0,"target_outcome":"",'
+            '"target_treatment":"","true_ate":null,"true_graph":"nodes: x0,'
+            ' x1\\n"}',
+            # pipeline failure
+            '{"abs_err":null,"connected":true,"discovered_graph":"",'
+            '"eps_probe":0.1,'
+            '"error":"stage \'estimation\' failed: singular design",'
+            '"est_ate":null,"failed":true,"hit_rate":null,"m":50,"n":4,'
+            '"n_probes":0,"p_edge":0.5,"p_hint":0.3,"p_probe":0.5,'
+            '"probes":[],"rel_err":null,"run_index":2,'
+            '"run_seed":940761850445385982,"shd":0,"target_outcome":"x0",'
+            '"target_treatment":"x2","true_ate":-0.16026759010575142,'
+            '"true_graph":"nodes: x0, x1, x2,'
+            ' x3\\nx0 -> x3\\nx1 -> x0\\nx2 -> x0\\nx2 -> x1\\nx2 -> x3\\n"}',
+        ]
+
     def test_probe_truths_are_exact_oracle_values(self):
         p = SimParams(master_seed=42)
         r = simulate_run(p, 0)
@@ -504,7 +591,8 @@ class TestCsvIo:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_runs_csv(p1, recs)
         write_runs_csv(p2, recs)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_no_temp_file_left(self, tmp_path):
         path = str(tmp_path / "runs.csv")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -78,3 +79,10 @@ class TestHistogram:
         assert histogram_svg(bars, "x", "y", "t") == histogram_svg(
             bars, "x", "y", "t"
         )
+
+    def test_bars_sharing_one_x_get_the_single_bar_width(self):
+        shared = histogram_svg([(0.5, 1), (0.5, 2)], "x", "y", "t")
+        single = histogram_svg([(0.5, 2)], "x", "y", "t")
+        assert shared.count("<rect ") == 3
+        width = re.compile(r'<rect x="[^"]*" y="[^"]*" width="([^"]*)" height=')
+        assert width.findall(shared)[-1] == width.findall(single)[-1]
