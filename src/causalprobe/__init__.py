@@ -21,21 +21,14 @@ from .bayesnet import (
     MAX_EXACT_NODES,
     Cbn,
     Cpd,
-    JointTable,
-    from_json,
-    intervene,
-    joint_distribution,
-    mutilated,
     random_cpds,
     sample,
-    to_json,
     true_ate,
 )
 from .dataset import (
     BinaryDataset,
     RawDataset,
     binarize,
-    counts,
     drop_columns,
     read_csv,
     to_binary,
@@ -44,21 +37,18 @@ from .dataset import (
 from .discovery import (
     Cpdag,
     Knowledge,
-    bic_score,
     dag_to_cpdag,
     format_knowledge,
     ges,
     orient_to_dag,
     parse_knowledge,
     pick_hint_edges,
-    total_bic,
 )
 from .errors import (
     CapacityError,
     CausalProbeError,
     DataError,
     DegenerateNetworkError,
-    EstimationError,
     GraphGenerationError,
     KnowledgeError,
     OrientationError,
@@ -66,12 +56,10 @@ from .errors import (
 )
 from .estimation import (
     METHOD_LINEAR,
-    METHOD_STRATIFIED,
     METHOD_TRIVIAL_ZERO,
     AteEstimate,
     adjustment_set,
     estimate_ate_linear,
-    estimate_ate_stratified,
 )
 from .graph import (
     Dag,
@@ -79,7 +67,6 @@ from .graph import (
     is_weakly_connected,
     random_dag,
     shd,
-    to_dot,
     to_text,
 )
 from .pipeline import (

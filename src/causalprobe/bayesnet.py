@@ -1,23 +1,18 @@
 """Causal Bayesian networks over binary variables.
 
 A network pairs a DAG with one conditional probability table per node. All
-variables take values in {0, 1}. The joint distribution is available exactly
-as a dense table up to 25 nodes. Average treatment effects are computed
+variables take values in {0, 1}. Average treatment effects are computed
 exactly, without sampling error, by variable elimination, whose factors span
 only the nodes that are live at one step; the limit there is on that live
 width, not on the node count.
 
-Bit conventions:
-  * CPD tables are indexed by the parent configuration with the first parent
-    in the CPD's parent list as the most significant bit. Entry ``table[i]``
-    is p(node = 1 | parents in configuration i).
-  * Joint-table states are indexed with node ``i`` occupying bit ``i``, so
-    state ``s`` assigns node ``i`` the value ``(s >> i) & 1``.
+Bit convention: CPD tables are indexed by the parent configuration with the
+first parent in the CPD's parent list as the most significant bit. Entry
+``table[i]`` is p(node = 1 | parents in configuration i).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -110,121 +105,6 @@ class Cbn:
 
     def __repr__(self) -> str:
         return f"Cbn({self.graph!r})"
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class JointTable:
-    """Dense joint distribution over n binary variables.
-
-    ``probs[s]`` is the probability of the state where node i takes value
-    ``(s >> i) & 1``. Entries are nonnegative and sum to 1 within tolerance;
-    ``probs`` is kept as a read-only float64 array.
-    """
-
-    labels: Sequence[str]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (1 << len(labels),):
-            raise ValueError(
-                f"need {1 << len(labels)} probabilities for {len(labels)} nodes"
-            )
-        if probs.size and (probs.min() < -1e-12 or not np.isfinite(probs).all()):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
-        probs = np.clip(probs, 0.0, None)
-        probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def marginal(self, node: str) -> float:
-        """p(node = 1)."""
-        return self.probability({node: 1})
-
-    def probability(self, assignment: dict[str, int]) -> float:
-        """Probability that every node in ``assignment`` takes its given value."""
-        # Axis 0 of the reshaped table is the highest bit, node n - 1.
-        key = [slice(None)] * self.n
-        for node, value in assignment.items():
-            if node not in self.labels:
-                raise ValueError(f"unknown node {node!r}")
-            if value not in (0, 1):
-                raise ValueError(f"value for {node!r} must be 0 or 1")
-            key[self.n - 1 - self.labels.index(node)] = int(value)
-        table = self.probs.reshape((2,) * self.n)
-        return float(table[tuple(key)].ravel().sum())
-
-
-def _all_states(net: Cbn) -> np.ndarray:
-    """Every joint state of the network; CapacityError above 25 nodes."""
-    n = net.graph.n
-    if n > MAX_EXACT_NODES:
-        raise CapacityError(
-            f"exact joint over {n} nodes exceeds the {MAX_EXACT_NODES}-node limit"
-        )
-    return np.arange(1 << n, dtype=np.int64)
-
-
-def _factor_product(net: Cbn, skip: int | None, states: np.ndarray) -> np.ndarray:
-    """Product over ``states`` of every node's CPD factor except ``skip``'s."""
-    probs = np.ones(states.shape, dtype=np.float64)
-    for v in range(net.graph.n):
-        if v == skip:
-            continue
-        cpd = net.cpds[v]
-        idx = state_index(
-            ((states >> net.graph.index(p)) & 1 for p in cpd.parents), states.size
-        )
-        p_one = np.asarray(cpd.table, dtype=np.float64)[idx]
-        value = (states >> v) & 1
-        probs *= np.where(value == 1, p_one, 1.0 - p_one)
-    return probs
-
-
-def joint_distribution(net: Cbn) -> JointTable:
-    """Exact joint table by multiplying the factorized CPDs over all states.
-
-    Raises CapacityError above 25 nodes; the table would exceed 2**25 cells.
-    """
-    return JointTable(net.graph.labels, _factor_product(net, None, _all_states(net)))
-
-
-def intervene(net: Cbn, treatment: str, value: int) -> JointTable:
-    """Joint distribution under do(treatment = value).
-
-    Implements the truncated factorization: the treatment's own CPD is
-    dropped and its value clamped; every other CPD is left untouched.
-    """
-    if value not in (0, 1):
-        raise ValueError("intervention value must be 0 or 1")
-    t = net.graph.index(treatment)
-    states = _all_states(net)
-    prod = _factor_product(net, t, states)
-    return JointTable(
-        net.graph.labels, np.where(((states >> t) & 1) == value, prod, 0.0)
-    )
-
-
-def mutilated(net: Cbn, treatment: str, value: int) -> Cbn:
-    """The post-intervention network: treatment loses its parents and is
-    clamped to ``value`` with probability 1."""
-    if value not in (0, 1):
-        raise ValueError("intervention value must be 0 or 1")
-    t = net.graph.index(treatment)
-    edges = [(a, b) for a, b in net.graph.edges if b != t]
-    new_graph = net.graph.with_edges(edges)
-    new_cpds = [
-        Cpd(treatment, (), (float(value),)) if v == t else net.cpds[v]
-        for v in range(net.graph.n)
-    ]
-    return Cbn(new_graph, new_cpds)
 
 
 def _elimination_plan(g: Dag, t: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -360,63 +240,3 @@ def sample(net: Cbn, m: int, rng: np.random.Generator) -> BinaryDataset:
         p_one = np.asarray(cpd.table, dtype=np.float64)[idx]
         values[:, v] = (rng.random(m) < p_one).astype(np.uint8)
     return BinaryDataset(net.graph.labels, values)
-
-
-def to_json(net: Cbn) -> str:
-    """Serialize a network to JSON with round-trip-exact floats."""
-    doc = {
-        "nodes": list(net.graph.labels),
-        "edges": [
-            [net.graph.labels[a], net.graph.labels[b]]
-            for a, b in sorted(net.graph.edges)
-        ],
-        "cpds": [
-            {
-                "node": cpd.node,
-                "parents": list(cpd.parents),
-                "table": list(cpd.table),
-            }
-            for cpd in net.cpds
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def from_json(text: str) -> Cbn:
-    """Parse the JSON document written by :func:`to_json`."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid network JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("network JSON must be an object")
-    for key in ("nodes", "edges", "cpds"):
-        if not isinstance(doc.get(key), list):
-            raise ValueError(f"network JSON needs a list in the {key!r} field")
-    labels = tuple(str(x) for x in doc["nodes"])
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for pair in doc["edges"]:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, str) and x in index for x in pair)
-        ):
-            raise ValueError(f"bad edge entry {pair!r}")
-        edges.append((index[pair[0]], index[pair[1]]))
-    graph = Dag(labels, edges)
-    cpds = []
-    for entry in doc["cpds"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"bad cpd entry {entry!r}")
-        for key in ("node", "parents", "table"):
-            if key not in entry:
-                raise ValueError(f"cpd entry is missing the {key!r} field")
-        for key in ("parents", "table"):
-            if not isinstance(entry[key], list):
-                raise ValueError(f"bad cpd entry {entry!r}: {key!r} must be a list")
-        try:
-            cpds.append(Cpd(entry["node"], entry["parents"], entry["table"]))
-        except TypeError as exc:
-            raise ValueError(f"bad cpd entry {entry!r}: {exc}") from exc
-    return Cbn(graph, cpds)

@@ -5,8 +5,9 @@ outlier listing), plot (static SVG charts), demo-sprinkler (the worked
 five-variable example), analyze (end-to-end analysis of a user dataset).
 
 Exit codes: 0 success, 1 I/O or data failure, 2 usage error (including
-unknown target, probe or knowledge columns, which the pipeline's config
-stage reports), 3 analysis completed but at least one probe failed.
+unknown target, probe or knowledge columns and column names a report cannot
+write, which the pipeline's config stage reports), 3 analysis completed but
+at least one probe failed.
 """
 
 from __future__ import annotations

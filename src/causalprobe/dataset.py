@@ -17,9 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DataError
-
-MAX_COUNT_VARIABLES = 20
+from .errors import DataError
 
 
 def _check_columns(columns: Sequence[str]) -> tuple[str, ...]:
@@ -237,22 +235,3 @@ def state_index(columns: Iterable[np.ndarray], size: int) -> np.ndarray:
         idx <<= 1
         idx |= col
     return idx
-
-
-def counts(data: BinaryDataset, variables: Sequence[str]) -> np.ndarray:
-    """Joint occurrence counts over the given variables.
-
-    Returns an int64 array of length 2**k indexed by the variables' joint
-    state, with the first listed variable as the most significant bit. An
-    empty variable list yields the one-cell table [n_rows]. Raises
-    CapacityError beyond 20 variables (the table would exceed 2**20 cells).
-    """
-    if len(set(variables)) != len(variables):
-        raise DataError("duplicate variables in counts query")
-    if len(variables) > MAX_COUNT_VARIABLES:
-        raise CapacityError(
-            f"counts over {len(variables)} variables exceeds the "
-            f"{MAX_COUNT_VARIABLES}-variable limit"
-        )
-    idx = state_index((data.column(v) for v in variables), data.n_rows)
-    return np.bincount(idx, minlength=1 << len(variables)).astype(np.int64)

@@ -66,10 +66,6 @@ class Knowledge:
         object.__setattr__(self, "required", req)
         object.__setattr__(self, "forbidden", forb)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.required and not self.forbidden
-
     def node_names(self) -> frozenset[str]:
         return frozenset(x for edge in self.required | self.forbidden for x in edge)
 
@@ -220,42 +216,6 @@ class _Scorer:
         score = ll - (self.penalty / 2.0) * (1 << k) * self.log_m
         self.cache[key] = score
         return score
-
-
-def bic_score(
-    data: BinaryDataset,
-    node: str,
-    parents: Sequence[str] = (),
-    penalty: float = 1.0,
-) -> float:
-    """Local BIC of one node given a parent set.
-
-    Maximum-likelihood log-likelihood of the node's column stratified by the
-    parent columns, minus (penalty/2) * 2**|parents| * ln(rows). Parent order
-    does not matter. Raises CapacityError beyond 15 parents.
-    """
-    j = data.column_index(node)
-    ps = frozenset(data.column_index(p) for p in parents)
-    if j in ps:
-        raise ValueError(f"node {node!r} cannot be its own parent")
-    if len(ps) != len(tuple(parents)):
-        raise ValueError("duplicate parents")
-    return _Scorer(data, penalty).local(j, ps)
-
-
-def total_bic(data: BinaryDataset, graph: Dag, penalty: float = 1.0) -> float:
-    """Sum of local BIC scores over all nodes of a DAG (decomposable score)."""
-    if set(graph.labels) != set(data.columns):
-        raise DataError("graph nodes must match dataset columns")
-    scorer = _Scorer(data, penalty)
-    total = 0.0
-    for v in range(graph.n):
-        j = data.column_index(graph.labels[v])
-        ps = frozenset(
-            data.column_index(graph.labels[p]) for p in graph.parents(v)
-        )
-        total += scorer.local(j, ps)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ class OrientationError(CausalProbeError):
     """A pattern admits no consistent extension under the given knowledge."""
 
 
-class EstimationError(CausalProbeError):
-    """An effect cannot be estimated from the data at hand."""
-
-
 class DegenerateNetworkError(CausalProbeError):
     """A generated network has no nontrivial treatment-outcome pair."""
 

@@ -1,10 +1,8 @@
 """Average-treatment-effect estimation from data plus a causal graph.
 
-The primary estimator regresses the outcome on the treatment and a backdoor
+The estimator regresses the outcome on the treatment and a backdoor
 adjustment set (the treatment's parents in the graph) and reads the ATE off
-the treatment coefficient. A nonparametric stratified plug-in estimator of
-the same backdoor functional serves as a cross-check: it is exact in the
-large-sample limit but needs both treatment arms in every stratum it keeps.
+the treatment coefficient.
 """
 
 from __future__ import annotations
@@ -14,25 +12,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset, state_index
-from .errors import CapacityError, EstimationError
+from .dataset import BinaryDataset
 from .graph import Dag
 
 METHOD_TRIVIAL_ZERO = "trivial-zero"
 METHOD_LINEAR = "linear-adjusted"
-METHOD_STRATIFIED = "stratified"
-_METHODS = (METHOD_TRIVIAL_ZERO, METHOD_LINEAR, METHOD_STRATIFIED)
-
-MAX_ADJUSTMENT = 15
+_METHODS = (METHOD_TRIVIAL_ZERO, METHOD_LINEAR)
 
 
 @dataclass(frozen=True)
 class AteEstimate:
     """One estimated average treatment effect.
 
-    ``adjustment`` lists the conditioning variables actually used;
-    ``retained_weight`` is the probability mass of the strata the stratified
-    estimator kept (None for the other methods).
+    ``adjustment`` lists the conditioning variables actually used.
     """
 
     treatment: str
@@ -40,7 +32,6 @@ class AteEstimate:
     value: float
     method: str
     adjustment: tuple[str, ...] = ()
-    retained_weight: float | None = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -114,50 +105,4 @@ def estimate_ate_linear(
     coef = ols(design, data.column(outcome).astype(np.float64))
     return AteEstimate(
         treatment, outcome, float(coef[1]), METHOD_LINEAR, tuple(adjust)
-    )
-
-
-def estimate_ate_stratified(
-    data: BinaryDataset, graph: Dag, treatment: str, outcome: str
-) -> AteEstimate:
-    """Plug-in backdoor estimate over strata of the treatment's parents.
-
-    Computes sum over strata z of (p(o=1 | t=1, z) - p(o=1 | t=0, z)) * p(z).
-    Strata missing either treatment arm are dropped and the remaining weights
-    renormalized; the kept mass is reported as ``retained_weight``. Raises
-    EstimationError when no stratum has both arms.
-    """
-    if treatment == outcome:
-        raise ValueError("treatment and outcome must differ")
-    adjust = sorted(adjustment_set(graph, treatment, outcome))
-    if len(adjust) > MAX_ADJUSTMENT:
-        raise CapacityError(
-            f"stratifying over {len(adjust)} variables exceeds the "
-            f"{MAX_ADJUSTMENT}-variable limit"
-        )
-    _require_columns(data, [treatment, outcome, *adjust])
-    m = data.n_rows
-    o_col = data.column(outcome).astype(np.int64)
-    n_strata = 1 << len(adjust)
-    # cell index: (stratum, t); count rows and outcome successes per cell
-    cell = state_index((data.column(c) for c in [*adjust, treatment]), m)
-    n = np.bincount(cell, minlength=2 * n_strata).astype(np.float64)
-    n_o = np.bincount(cell, weights=o_col, minlength=2 * n_strata)
-    n0, n1 = n[0::2], n[1::2]
-    kept = (n0 > 0) & (n1 > 0)
-    if not kept.any():
-        raise EstimationError(
-            f"no stratum of {adjust or '{}'} contains both treatment arms"
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff = np.where(kept, n_o[1::2] / n1 - n_o[0::2] / n0, 0.0)
-    weights = (n0 + n1)[kept]
-    value = float((diff[kept] * weights).sum() / weights.sum())
-    return AteEstimate(
-        treatment,
-        outcome,
-        value,
-        METHOD_STRATIFIED,
-        tuple(adjust),
-        retained_weight=float(weights.sum() / m),
     )

@@ -113,10 +113,6 @@ class Dag:
         reachable = self.descendants(u)
         return self._check(v) in reachable
 
-    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "Dag":
-        """New Dag over the same labels with the given edge set."""
-        return Dag(self.labels, edges)
-
     def __repr__(self) -> str:
         edges = ", ".join(
             f"{self.labels[a]}->{self.labels[b]}" for a, b in sorted(self.edges)
@@ -237,18 +233,3 @@ def from_text(text: str) -> Dag:
             raise ValueError(f"edge references unknown node in {ln!r}")
         edges.append((index[a], index[b]))
     return Dag(labels, edges)
-
-
-def to_dot(g: Dag) -> str:
-    """Export a DOT-subset digraph for visualization."""
-
-    def q(s: str) -> str:
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    lines = ["digraph g {"]
-    for label in g.labels:
-        lines.append(f"  {q(label)};")
-    for a, b in sorted(g.edges):
-        lines.append(f"  {q(g.labels[a])} -> {q(g.labels[b])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from .dataset import (
 from .discovery import Knowledge, ges, orient_to_dag
 from .errors import DataError, PipelineError
 from .estimation import estimate_ate_linear
-from .graph import Dag, to_text
+from .graph import Dag, _check_labels, to_text
 from .probing import ProbeSpec, ValidationReport, format_expectation, validate
 
 __all__ = [
@@ -181,6 +181,8 @@ def _preprocess(data, steps) -> BinaryDataset:
 
 
 def _check_names(data: BinaryDataset, cfg: AnalysisConfig) -> None:
+    # The columns become the graph's node names, which the report writes.
+    _check_labels(data.columns, ",", "->")
     known = set(data.columns)
     named = [("target", name) for name in cfg.target]
     named += [

@@ -8,6 +8,8 @@ one means the model survived the probing attempt.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -17,51 +19,65 @@ from .graph import _check_labels
 
 
 @dataclass(frozen=True)
-class Point:
+class _Finite:
+    """Base of the expectation types: every field is a finite number, which
+    the probe text format can write and read back."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+
+
+@dataclass(frozen=True)
+class Point(_Finite):
     """Pass iff |value - target| <= tol (closed on both sides)."""
 
     target: float
     tol: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.tol < 0:
             raise ValueError("tolerance must be nonnegative")
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Finite):
     """Pass iff lo <= value <= hi."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
-class GreaterThan:
+class GreaterThan(_Finite):
     """Pass iff value > threshold (strict)."""
 
     threshold: float
 
 
 @dataclass(frozen=True)
-class LessThan:
+class LessThan(_Finite):
     """Pass iff value < threshold (strict)."""
 
     threshold: float
 
 
 @dataclass(frozen=True)
-class NonZero:
+class NonZero(_Finite):
     """Pass iff |value| > margin; the margin keeps a noisy near-zero
     estimate from counting as a nonzero effect."""
 
     margin: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.margin <= 0:
             raise ValueError("nonzero margin must be positive")
 
@@ -237,10 +253,9 @@ def parse_probes(text: str) -> tuple[ProbeSpec, ...]:
         fields = line.split(None, 1)
         if fields[0] != "probe" or len(fields) != 2:
             raise DataError(f"line {lineno}: expected 'probe t -> o expect ...'")
-        rest = fields[1]
-        if "->" not in rest or " expect " not in rest:
+        pair, sep, expectation = fields[1].partition(" expect ")
+        if not sep or "->" not in pair:
             raise DataError(f"line {lineno}: expected 'probe t -> o expect ...'")
-        pair, expectation = rest.split(" expect ", 1)
         left, right = pair.split("->", 1)
         t, o = left.strip(), right.strip()
         if not t or not o:

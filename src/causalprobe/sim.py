@@ -112,8 +112,9 @@ class SimParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.p_probe == 0.0:
             raise ValueError("p_probe must be positive: no probes, no study")
-        if self.eps_probe < 0.0:
-            raise ValueError("eps_probe must be >= 0")
+        # A probe's tolerance, which a probe expectation needs finite.
+        if not 0.0 <= self.eps_probe < math.inf:
+            raise ValueError("eps_probe must be finite and >= 0")
         if self.n_runs < 0:
             raise ValueError("n_runs must be >= 0")
         if not self.penalty > 0:

@@ -6,21 +6,10 @@ import numpy as np
 import pytest
 
 from causalprobe import bayesnet
-from causalprobe.bayesnet import (
-    Cbn,
-    Cpd,
-    JointTable,
-    from_json,
-    intervene,
-    joint_distribution,
-    mutilated,
-    random_cpds,
-    sample,
-    to_json,
-    true_ate,
-)
+from causalprobe.bayesnet import Cbn, Cpd, random_cpds, sample, true_ate
 from causalprobe.errors import CapacityError
 from causalprobe.graph import Dag, random_dag
+from reference import intervened, joint, marginal, mutilated, probability
 
 
 def two_node_net():
@@ -118,52 +107,43 @@ class TestValidation:
         with pytest.raises(ValueError):
             Cbn(g, [Cpd("a", [], [0.3]), Cpd("a", [], [0.4])])
 
-    def test_joint_table_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            JointTable(["a"], np.array([0.5, 0.4]))
-
 
 class TestJointDistribution:
+    """The dense reference the oracle tests compare against."""
+
     def test_two_node_hand_values(self):
-        jt = joint_distribution(two_node_net())
+        probs = joint(two_node_net())
         # State s assigns node i the bit (s >> i) & 1, so s=1 is a=1, b=0.
-        assert jt.probs[0] == pytest.approx(0.7 * 0.8)
-        assert jt.probs[1] == pytest.approx(0.3 * 0.1)
-        assert jt.probs[2] == pytest.approx(0.7 * 0.2)
-        assert jt.probs[3] == pytest.approx(0.3 * 0.9)
-        assert jt.marginal("b") == pytest.approx(0.41)
-        assert jt.marginal("a") == pytest.approx(0.3)
+        assert probs[0] == pytest.approx(0.7 * 0.8)
+        assert probs[1] == pytest.approx(0.3 * 0.1)
+        assert probs[2] == pytest.approx(0.7 * 0.2)
+        assert probs[3] == pytest.approx(0.3 * 0.9)
+        assert marginal("ab", probs, "b") == pytest.approx(0.41)
+        assert marginal("ab", probs, "a") == pytest.approx(0.3)
 
     def test_against_brute_force_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = random_dag(int(rng.integers(1, 6)), 0.4, rng)
             net = random_cpds(g, rng)
-            jt = joint_distribution(net)
+            probs = joint(net)
             oracle = brute_force_joint(net)
             for values, p in oracle.items():
                 s = sum(v << i for i, v in enumerate(values))
-                assert jt.probs[s] == pytest.approx(p, abs=1e-12)
+                assert probs[s] == pytest.approx(p, abs=1e-12)
 
     def test_cpd_parent_order_is_respected(self):
         # The same conditional law written with either parent order must
         # produce the identical joint.
-        jt1 = joint_distribution(confounded_net(["c", "t"]))
-        jt2 = joint_distribution(confounded_net(["t", "c"]))
-        assert np.allclose(jt1.probs, jt2.probs, atol=1e-15)
+        probs1 = joint(confounded_net(["c", "t"]))
+        probs2 = joint(confounded_net(["t", "c"]))
+        assert np.allclose(probs1, probs2, atol=1e-15)
 
     def test_probability_query(self):
-        jt = joint_distribution(two_node_net())
-        assert jt.probability({"a": 1, "b": 1}) == pytest.approx(0.27)
-        assert jt.probability({"a": 0}) == pytest.approx(0.7)
-        assert jt.probability({}) == pytest.approx(1.0)
-
-    def test_capacity_guard(self):
-        labels = [f"v{i}" for i in range(26)]
-        g = Dag(labels, [])
-        net = Cbn(g, [Cpd(lab, [], [0.5]) for lab in labels])
-        with pytest.raises(CapacityError):
-            joint_distribution(net)
+        probs = joint(two_node_net())
+        assert probability("ab", probs, {"a": 1, "b": 1}) == pytest.approx(0.27)
+        assert probability("ab", probs, {"a": 0}) == pytest.approx(0.7)
+        assert probability("ab", probs, {}) == pytest.approx(1.0)
 
 
 class TestIntervention:
@@ -176,15 +156,17 @@ class TestIntervention:
     def test_confounded_ate_hand_value(self):
         net = confounded_net(["c", "t"])
         # do(t=1): 0.5*0.5 + 0.5*0.9 = 0.7; do(t=0): 0.5*0.1 + 0.5*0.4 = 0.25
-        assert intervene(net, "t", 1).marginal("y") == pytest.approx(0.7)
-        assert intervene(net, "t", 0).marginal("y") == pytest.approx(0.25)
+        assert marginal("cty", intervened(net, "t", 1), "y") == pytest.approx(0.7)
+        assert marginal("cty", intervened(net, "t", 0), "y") == pytest.approx(0.25)
         assert true_ate(net, "t", "y") == pytest.approx(0.45)
 
     def test_intervention_differs_from_conditioning(self):
         net = confounded_net(["c", "t"])
-        jt = joint_distribution(net)
-        cond = jt.probability({"t": 1, "y": 1}) / jt.probability({"t": 1})
-        assert abs(cond - intervene(net, "t", 1).marginal("y")) > 0.01
+        probs = joint(net)
+        cond = probability("cty", probs, {"t": 1, "y": 1}) / probability(
+            "cty", probs, {"t": 1}
+        )
+        assert abs(cond - marginal("cty", intervened(net, "t", 1), "y")) > 0.01
 
     def test_matches_mutilated_network(self):
         rng = np.random.default_rng(17)
@@ -193,9 +175,9 @@ class TestIntervention:
             net = random_cpds(g, rng)
             t = g.labels[int(rng.integers(0, g.n))]
             v = int(rng.integers(0, 2))
-            direct = intervene(net, t, v)
-            via_mutilation = joint_distribution(mutilated(net, t, v))
-            assert np.allclose(direct.probs, via_mutilation.probs, atol=1e-14)
+            direct = intervened(net, t, v)
+            via_mutilation = joint(mutilated(net, t, v))
+            assert np.allclose(direct, via_mutilation, atol=1e-14)
 
     def test_against_brute_force_random(self):
         rng = np.random.default_rng(19)
@@ -270,10 +252,6 @@ class TestIntervention:
         with pytest.raises(ValueError):
             true_ate(two_node_net(), "a", "a")
 
-    def test_bad_value_rejected(self):
-        with pytest.raises(ValueError):
-            intervene(two_node_net(), "a", 2)
-
     def test_mutilated_structure(self):
         net = confounded_net(["c", "t"])
         cut = mutilated(net, "t", 1)
@@ -285,13 +263,13 @@ class TestIntervention:
 class TestSampling:
     def test_frequencies_match_joint(self):
         net = two_node_net()
-        jt = joint_distribution(net)
+        probs = joint(net)
         rng = np.random.default_rng(23)
         m = 20000
         d = sample(net, m, rng)
         states = d.values[:, 0].astype(int) | (d.values[:, 1].astype(int) << 1)
         for s in range(4):
-            p = jt.probs[s]
+            p = probs[s]
             got = int((states == s).sum())
             sigma = math.sqrt(m * p * (1 - p))
             assert abs(got - m * p) < 4 * sigma
@@ -331,53 +309,3 @@ class TestRandomCpds:
         n1 = random_cpds(g, np.random.default_rng(9))
         n2 = random_cpds(g, np.random.default_rng(9))
         assert n1 == n2
-
-
-class TestJson:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            g = random_dag(int(rng.integers(1, 7)), 0.3, rng)
-            net = random_cpds(g, rng)
-            again = from_json(to_json(net))
-            assert again == net
-            # floats survive bit-exactly, so re-serialization is stable
-            assert to_json(again) == to_json(net)
-
-    def test_missing_field(self):
-        for doc in (
-            '{"nodes": ["a"], "edges": []}',
-            # malformed documents: not an object, a field that is not a
-            # list, a bad edge, a bad cpd
-            "5",
-            '"nodes edges cpds"',
-            '{"nodes": 5, "edges": [], "cpds": []}',
-            '{"nodes": ["a"], "edges": [], "cpds": 5}',
-            '{"nodes": ["a"], "edges": [5], "cpds": []}',
-            '{"nodes": ["a", "b"], "edges": [[["a"], "b"]], "cpds": []}',
-            '{"nodes": ["a"], "edges": [], "cpds": [5]}',
-            '{"nodes": ["a"], "edges": [], '
-            '"cpds": [{"node": "a", "parents": [], "table": 0.5}]}',
-            # a string where a list is expected is not split into characters
-            '{"nodes": ["a", "b", "c"], "edges": [["a", "c"], ["b", "c"]], '
-            '"cpds": [{"node": "a", "parents": [], "table": [0.5]}, '
-            '{"node": "b", "parents": [], "table": [0.5]}, '
-            '{"node": "c", "parents": "ab", "table": [0.1, 0.2, 0.3, 0.4]}]}',
-            '{"nodes": ["a"], "edges": [], '
-            '"cpds": [{"node": "a", "parents": [], "table": "0"}]}',
-        ):
-            with pytest.raises(ValueError):
-                from_json(doc)
-
-    def test_invalid_json(self):
-        with pytest.raises(ValueError):
-            from_json("{not json")
-
-    def test_cycle_in_file_rejected(self):
-        doc = (
-            '{"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]], '
-            '"cpds": [{"node": "a", "parents": ["b"], "table": [0.1, 0.2]}, '
-            '{"node": "b", "parents": ["a"], "table": [0.1, 0.2]}]}'
-        )
-        with pytest.raises(ValueError):
-            from_json(doc)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from causalprobe import __version__
+from causalprobe import __version__, pipeline
 from causalprobe.cli import PlotSpec, main, parse_config
 from causalprobe.dataset import write_csv
 from causalprobe.sim import (
@@ -736,6 +736,34 @@ class TestAnalyze:
         )
         assert rc == 2
         assert "moat" in capsys.readouterr().err
+
+    def test_padded_header_name_is_usage_error_before_the_search(
+        self, workdir, capsys, monkeypatch
+    ):
+        # ' season' would be a node name the report cannot write.
+        (workdir / "padded.csv").write_text(
+            "sprinkler,wet,slippery, season\n0,0,1,1\n1,1,0,0\n"
+        )
+
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(pipeline, "ges", no_search)
+        rc = main(
+            [
+                "analyze",
+                str(workdir / "padded.csv"),
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,slippery",
+                "--out-dir",
+                str(workdir),
+            ]
+        )
+        assert rc == 2
+        assert "' season'" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
 
     def test_oversized_cell_is_data_error(self, workdir, capsys):
         # The csv module refuses a field beyond 131,072 characters.

@@ -9,13 +9,12 @@ from causalprobe.dataset import (
     BinaryDataset,
     RawDataset,
     binarize,
-    counts,
     drop_columns,
     read_csv,
     to_binary,
     write_csv,
 )
-from causalprobe.errors import CapacityError, DataError
+from causalprobe.errors import DataError
 
 
 def make_raw():
@@ -192,54 +191,3 @@ class TestToBinary:
         d = RawDataset(["a", "b"], [("0", "1"), ("1", "yes")])
         with pytest.raises(DataError, match=r"row 1, column 'b'"):
             to_binary(d)
-
-
-class TestCounts:
-    def test_worked_example(self):
-        # Rows (a, b): 00, 01, 01, 11. First variable is the high bit, so
-        # the joint states are 0, 1, 1, 3 and the counts are [1, 2, 0, 1].
-        d = BinaryDataset(["a", "b"], np.array([[0, 0], [0, 1], [0, 1], [1, 1]]))
-        assert list(counts(d, ["a", "b"])) == [1, 2, 0, 1]
-
-    def test_variable_order_matters(self):
-        d = BinaryDataset(["a", "b"], np.array([[0, 1]]))
-        assert list(counts(d, ["a", "b"])) == [0, 1, 0, 0]
-        assert list(counts(d, ["b", "a"])) == [0, 0, 1, 0]
-
-    def test_single_variable(self):
-        d = BinaryDataset(["a"], np.array([[1], [1], [0]]))
-        assert list(counts(d, ["a"])) == [1, 2]
-
-    def test_total_is_row_count(self):
-        rng = np.random.default_rng(3)
-        d = BinaryDataset(["a", "b", "c"], rng.integers(0, 2, size=(50, 3)))
-        assert counts(d, ["a", "c"]).sum() == 50
-
-    def test_capacity_guard(self):
-        cols = [f"v{i}" for i in range(21)]
-        d = BinaryDataset(cols, np.zeros((1, 21), dtype=np.uint8))
-        with pytest.raises(CapacityError):
-            counts(d, cols)
-
-    def test_duplicate_variables_rejected(self):
-        d = BinaryDataset(["a", "b"], np.array([[0, 1]]))
-        with pytest.raises(DataError):
-            counts(d, ["a", "a"])
-
-    def test_empty_query_counts_rows(self):
-        d = BinaryDataset(["a", "b"], np.array([[0, 1], [1, 1], [0, 0]]))
-        assert counts(d, []).tolist() == [3]
-
-    def test_marginalization_consistency(self):
-        # Summing the joint table over one variable must equal the joint
-        # table of the remaining variables.
-        rng = np.random.default_rng(411)
-        for _ in range(20):
-            k = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 40))
-            names = [f"v{i}" for i in range(k)]
-            d = BinaryDataset(names, rng.integers(0, 2, size=(m, k)))
-            pos = int(rng.integers(0, k))
-            full = counts(d, names).reshape((2,) * k)
-            reduced = counts(d, names[:pos] + names[pos + 1:])
-            assert full.sum(axis=pos).reshape(-1).tolist() == reduced.tolist()

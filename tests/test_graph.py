@@ -11,7 +11,6 @@ from causalprobe.graph import (
     is_weakly_connected,
     random_dag,
     shd,
-    to_dot,
     to_text,
 )
 
@@ -302,9 +301,3 @@ class TestTextFormat:
     def test_unserializable_label(self):
         with pytest.raises(ValueError):
             to_text(Dag(["a,b", "c"]))
-
-    def test_dot_output(self):
-        g = Dag("ab", [(0, 1)])
-        dot = to_dot(g)
-        assert dot.startswith("digraph")
-        assert '"a" -> "b";' in dot

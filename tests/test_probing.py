@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,19 @@ class TestExpectationTypes:
     def test_nonzero_margin_must_be_positive(self):
         with pytest.raises(ValueError):
             NonZero(0.0)
+
+    def test_numbers_must_be_finite(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            for make in (
+                lambda x: Point(x, 0.1),
+                lambda x: Point(0.5, x),
+                lambda x: Interval(x, 1.0) if x < 0 else Interval(0.0, x),
+                GreaterThan,
+                LessThan,
+                NonZero,
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    make(bad)
 
     def test_same_treatment_outcome(self):
         with pytest.raises(ValueError):
@@ -221,8 +236,18 @@ class TestProbesFile:
         with pytest.raises(DataError):
             parse_probes("check a -> b expect > 0\n")
 
+    def test_arrow_only_after_expect_is_reported_with_its_line(self):
+        with pytest.raises(DataError, match="line 2"):
+            parse_probes("\nprobe a expect -> b expect 0.5 +/- 0.1\n")
+
     def test_parse_invalid_semantics(self):
         with pytest.raises(DataError):
             parse_probes("probe a -> b expect in [0.4, 0.2]\n")
         with pytest.raises(DataError):
             parse_probes("probe a -> a expect > 0\n")
+
+    def test_non_finite_numbers_are_reported_with_their_line(self):
+        for text in ("nan +/- 0.1", "0.5 +/- inf", "> inf", "< -inf",
+                     "in [0.0, nan]", "nonzero inf"):
+            with pytest.raises(DataError, match="line 1"):
+                parse_probes(f"probe a -> b expect {text}\n")

@@ -152,6 +152,11 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(penalty=0.0)
 
+    def test_non_finite_eps_probe_rejected(self):
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps_probe"):
+                SimParams(eps_probe=eps)
+
 
 class TestSelectTarget:
     def test_single_edge(self):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causalprobe.bayesnet import joint_distribution, true_ate
+from causalprobe.bayesnet import true_ate
 from causalprobe.discovery import parse_knowledge
 from causalprobe.estimation import METHOD_TRIVIAL_ZERO
 from causalprobe.graph import shd
@@ -19,6 +19,7 @@ from causalprobe.sprinkler import (
     sprinkler_net,
     sprinkler_probes,
 )
+from reference import joint, marginal
 
 
 class TestFixture:
@@ -31,8 +32,8 @@ class TestFixture:
 
     def test_rain_marginal(self):
         # p(rain=1) = 0.5*0.75 + 0.5*0.25 = 0.5 by hand.
-        jt = joint_distribution(sprinkler_net())
-        assert jt.marginal("rain") == pytest.approx(0.5, abs=1e-12)
+        net = sprinkler_net()
+        assert marginal(net.graph.labels, joint(net), "rain") == pytest.approx(0.5, abs=1e-12)
 
     def test_oracle_edge_effects(self):
         # do-calculus by hand: p(wet|do(spr=1)) = .5*.85+.5*.99 = .92,

@@ -1,0 +1,147 @@
+"""Print one sha256 digest per output of a fixed list of causalprobe commands.
+
+Usage: python tools/byte_manifest.py > manifest.txt
+
+The commands run the ``causalprobe`` command line from this checkout's
+``src`` in one temporary directory: five simulation studies, each with
+``--threads 1`` and ``--threads 2``; ``aggregate``, ``aggregate --outliers``
+and the three ``plot`` kinds on the default study; ``analyze`` on the
+sprinkler data with the probe and knowledge files from the README; and
+``demo-sprinkler`` with and without ``--flip-knowledge``. Each output file
+and each command's stdout gets one ``<sha256>  <name>`` line; a stdout digest
+also covers the exit code.
+
+Run it at two commits and diff the two listings: an empty diff means the
+change kept every output byte-identical. No digest is pinned here, because
+BLAS builds move the last bits of least-squares estimates between hosts.
+
+Exits 1 when a ``--threads 2`` study wrote different bytes from its
+``--threads 1`` twin, and 2 when a command fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STUDIES = {
+    "defaults": [],
+    "n16": ["--n", "16", "--p-edge", "0.12", "--m", "2000", "--runs", "5"],
+    # Run 1 exhausts the rejection sampler: a generation failure.
+    "n25-seed1": ["--n", "25", "--p-edge", "0.1", "--runs", "3", "--seed", "1"],
+    # No edges: every run is a degenerate network.
+    "n2-empty": ["--n", "2", "--p-edge", "0", "--runs", "2"],
+    "n10-hint": [
+        "--n", "10", "--p-edge", "0.25", "--p-hint", "0.5", "--m", "500",
+        "--runs", "40",
+    ],
+}
+
+README_PROBES = """\
+probe sprinkler -> wet expect > 0.0
+probe wet -> slippery expect 0.85 +/- 0.1
+probe season -> wet expect in [0.0, 0.1]
+probe season -> rain expect < 0.0
+probe season -> rain expect nonzero 0.05
+"""
+
+README_KNOWLEDGE = """\
+require sprinkler -> wet
+forbid  season -> wet
+"""
+
+MAKE_DATA = (
+    "from causalprobe import sprinkler_data, write_csv; "
+    "write_csv(sprinkler_data(m=10000, seed=0), 'data.csv')"
+)
+RUN_CLI = "import sys; from causalprobe.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _python(cwd: Path, code: str, *args: str) -> bytes:
+    """Run ``code`` against this checkout's package; stdout plus exit code."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + ([path] if path else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env=env, capture_output=True
+    )
+    # analyze exits 3 when a probe fails, which is an output, not a failure.
+    if proc.returncode not in (0, 3):
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        print(f"error: {list(args)} in {cwd.name} exited {proc.returncode}", file=sys.stderr)
+        raise SystemExit(2)
+    return proc.stdout + f"exit {proc.returncode}\n".encode()
+
+
+def _step(root: Path, name: str, code: str, *args: str) -> dict[str, bytes]:
+    """Run one command in its own directory; its stdout and every file it
+    wrote there, by name."""
+    cwd = root / name
+    cwd.mkdir()
+    out = {f"{name}/stdout": _python(cwd, code, *args)}
+    for path in sorted(cwd.iterdir()):
+        out[f"{name}/{path.name}"] = path.read_bytes()
+    return out
+
+
+def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
+    """Every output by name, and the studies whose thread counts disagree."""
+    outputs: dict[str, bytes] = {}
+    mismatched = []
+    for study, flags in STUDIES.items():
+        twins = []
+        for threads in ("1", "2"):
+            got = _step(
+                root, f"simulate-{study}-t{threads}", RUN_CLI,
+                "simulate", *flags, "--threads", threads, "--out-dir", ".",
+            )
+            twins.append([data for _, data in sorted(got.items())])
+            outputs.update(got)
+        if twins[0] != twins[1]:
+            mismatched.append(study)
+    runs = "../simulate-defaults-t1/runs.csv"
+    outputs.update(_step(root, "aggregate", RUN_CLI, "aggregate", runs, "--out-dir", "."))
+    outputs.update(_step(root, "outliers", RUN_CLI, "aggregate", runs, "--outliers"))
+    agg = "../aggregate/agg.csv"
+    for kind, table, y in (
+        ("scatter", runs, "abs_err"), ("means", agg, "shd"), ("histogram", runs, "count")
+    ):
+        outputs.update(
+            _step(
+                root, f"plot-{kind}", RUN_CLI, "plot", table, "--kind", kind,
+                "--y", y, "--output", "plot.svg", "--out-dir", ".",
+            )
+        )
+    analyze = root / "analyze"
+    analyze.mkdir()
+    _python(analyze, MAKE_DATA)
+    (analyze / "probes.txt").write_text(README_PROBES)
+    (analyze / "knowledge.txt").write_text(README_KNOWLEDGE)
+    outputs["analyze/stdout"] = _python(
+        analyze, RUN_CLI, "analyze", "data.csv", "--knowledge", "knowledge.txt",
+        "--probes", "probes.txt", "--target", "sprinkler,slippery", "--out-dir", ".",
+    )
+    for name in ("data.csv", "report.json"):
+        outputs[f"analyze/{name}"] = (analyze / name).read_bytes()
+    outputs.update(_step(root, "demo", RUN_CLI, "demo-sprinkler"))
+    outputs.update(_step(root, "demo-flipped", RUN_CLI, "demo-sprinkler", "--flip-knowledge"))
+    return outputs, mismatched
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="byte-manifest-") as tmp:
+        outputs, mismatched = manifest(Path(tmp))
+    for name, data in outputs.items():
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    for study in mismatched:
+        print(f"error: study {study!r} differs between --threads 1 and 2", file=sys.stderr)
+    return 1 if mismatched else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
