@@ -27,11 +27,7 @@ from .bayesnet import (
 )
 from .dataset import (
     BinaryDataset,
-    RawDataset,
-    binarize,
-    drop_columns,
     read_csv,
-    to_binary,
     write_csv,
 )
 from .discovery import (
@@ -72,10 +68,6 @@ from .graph import (
 from .pipeline import (
     AnalysisConfig,
     AnalysisResult,
-    Binarize,
-    DropColumns,
-    GraphEdit,
-    apply_graph_edits,
     report_to_json,
     report_to_text,
     run_end_to_end,
@@ -92,7 +84,6 @@ from .probing import (
     evaluate_probe,
     format_expectation,
     format_probes,
-    hit_rate,
     parse_probes,
     validate,
 )

@@ -1,8 +1,8 @@
-"""Tabular datasets: raw string-valued CSV data and binary 0/1 matrices.
+"""Binary 0/1 datasets and their CSV form.
 
-A RawDataset holds untyped string cells straight from a CSV file. A
-BinaryDataset is the analysis-ready form: a dense uint8 matrix whose cells
-are all 0 or 1. Conversion is explicit and reports the exact offending cell.
+A BinaryDataset is a dense uint8 matrix whose cells are all 0 or 1, with
+one name per column. ``read_csv`` checks every cell as it reads and reports
+the exact offending one.
 """
 
 from __future__ import annotations
@@ -27,40 +27,6 @@ def _check_columns(columns: Sequence[str]) -> tuple[str, ...]:
     if len(set(cols)) != len(cols):
         raise DataError("duplicate column names")
     return cols
-
-
-@dataclass(frozen=True, slots=True)
-class RawDataset:
-    """String-valued table with named columns, kept as tuples of strings."""
-
-    columns: Sequence[str]
-    rows: Iterable[Sequence[str]]
-
-    def __post_init__(self):
-        cols = _check_columns(self.columns)
-        frozen = []
-        for r, row in enumerate(self.rows):
-            row = tuple(str(x) for x in row)
-            if len(row) != len(cols):
-                raise DataError(
-                    f"row {r} has {len(row)} cells, expected {len(cols)}"
-                )
-            frozen.append(row)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "rows", tuple(frozen))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise DataError(f"unknown column {name!r}") from None
-
-    def __repr__(self) -> str:
-        return f"RawDataset({self.n_rows} rows, columns={list(self.columns)})"
 
 
 # eq=False keeps the array comparison below and leaves the type unhashable.
@@ -92,7 +58,11 @@ class BinaryDataset:
     def n_rows(self) -> int:
         return int(self.values.shape[0])
 
-    column_index = RawDataset.column_index
+    def column_index(self, name: str) -> int:
+        try:
+            return self.columns.index(name)
+        except ValueError:
+            raise DataError(f"unknown column {name!r}") from None
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
@@ -108,10 +78,15 @@ class BinaryDataset:
         return f"BinaryDataset({self.n_rows} rows, columns={list(self.columns)})"
 
 
-def read_csv(path: str) -> RawDataset:
-    """Read a comma-separated file with a header row into a RawDataset."""
+def read_csv(path: str) -> BinaryDataset:
+    """Read a comma-separated file with a header row and 0/1 cells.
+
+    A UTF-8 byte order mark before the header is skipped. A ragged row, or
+    a cell other than "0" or "1", raises DataError naming the file, the
+    row and the column.
+    """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -123,7 +98,24 @@ def read_csv(path: str) -> RawDataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
-        return RawDataset(header, rows)
+        cols = _check_columns(header)
+        for r, row in enumerate(rows):
+            if len(row) != len(cols):
+                raise DataError(
+                    f"row {r} has {len(row)} cells, expected {len(cols)}"
+                )
+        # Object cells keep each string whole, so one long cell cannot
+        # widen every cell of the array.
+        cells = np.array(rows, dtype=object).reshape(len(rows), len(cols))
+        ones = cells == "1"
+        bad = ~ones & (cells != "0")
+        if bad.any():
+            r, j = np.argwhere(bad)[0]
+            raise DataError(
+                f"cell at row {r}, column {cols[j]!r} is {rows[r][j]!r}, "
+                "expected '0' or '1'"
+            )
+        return BinaryDataset(cols, ones)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -152,79 +144,14 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_csv(data: RawDataset | BinaryDataset, path: str) -> None:
+def write_csv(data: BinaryDataset, path: str) -> None:
     """Write a dataset as comma-separated text with a header row and LF
     endings, atomically."""
-    if isinstance(data, BinaryDataset):
-        rows = ([int(x) for x in row] for row in data.values)
-    else:
-        rows = data.rows
+    rows = ([int(x) for x in row] for row in data.values)
     try:
         _atomic_write(path, _csv_lines(itertools.chain([data.columns], rows)))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-
-
-def binarize(
-    data: RawDataset, column: str, zero_value: str, one_value: str
-) -> RawDataset:
-    """Map one column onto {0, 1} and drop rows holding any other value.
-
-    Cells equal to ``zero_value`` become "0" and cells equal to ``one_value``
-    become "1"; rows whose cell matches neither are removed. If neither value
-    occurs anywhere in the column the call is almost certainly misconfigured
-    and raises DataError.
-    """
-    if zero_value == one_value:
-        raise DataError("zero_value and one_value must differ")
-    j = data.column_index(column)
-    kept = []
-    for row in data.rows:
-        if row[j] == zero_value:
-            kept.append(row[:j] + ("0",) + row[j + 1:])
-        elif row[j] == one_value:
-            kept.append(row[:j] + ("1",) + row[j + 1:])
-    if data.n_rows and not kept:
-        raise DataError(
-            f"neither {zero_value!r} nor {one_value!r} occurs in column "
-            f"{column!r}"
-        )
-    return RawDataset(data.columns, kept)
-
-
-def drop_columns(
-    data: RawDataset | BinaryDataset, names: Sequence[str]
-) -> RawDataset | BinaryDataset:
-    """Remove the named columns, preserving the order of the others."""
-    drop = set(names)
-    unknown = drop - set(data.columns)
-    if unknown:
-        raise DataError(f"unknown columns: {sorted(unknown)}")
-    keep = [j for j, c in enumerate(data.columns) if c not in drop]
-    if not keep:
-        raise DataError("cannot drop every column")
-    cols = [data.columns[j] for j in keep]
-    if isinstance(data, BinaryDataset):
-        return BinaryDataset(cols, data.values[:, keep])
-    return RawDataset(cols, [tuple(row[j] for j in keep) for row in data.rows])
-
-
-def to_binary(data: RawDataset) -> BinaryDataset:
-    """Convert a raw table whose every cell is "0" or "1".
-
-    Any other cell raises DataError naming the row and column.
-    """
-    arr = np.zeros((data.n_rows, len(data.columns)), dtype=np.uint8)
-    for r, row in enumerate(data.rows):
-        for j, cell in enumerate(row):
-            if cell == "1":
-                arr[r, j] = 1
-            elif cell != "0":
-                raise DataError(
-                    f"cell at row {r}, column {data.columns[j]!r} is "
-                    f"{cell!r}, expected '0' or '1'"
-                )
-    return BinaryDataset(data.columns, arr)
 
 
 def state_index(columns: Iterable[np.ndarray], size: int) -> np.ndarray:

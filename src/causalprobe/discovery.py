@@ -182,8 +182,8 @@ class _Scorer:
     def __init__(self, data: BinaryDataset, penalty: float):
         if data.n_rows < 1:
             raise DataError("scoring needs at least one row")
-        if penalty <= 0:
-            raise ValueError("penalty must be positive")
+        if not 0.0 < penalty < math.inf:
+            raise ValueError("penalty must be finite and > 0")
         self.values = data.values
         self.m = data.n_rows
         self.log_m = math.log(self.m)

@@ -122,11 +122,10 @@ class ProbeResult:
 
     spec: ProbeSpec
     estimate: AteEstimate
-    passed: bool
 
-    def __post_init__(self):
-        if self.passed != evaluate_probe(self.spec, self.estimate.value):
-            raise ValueError("passed flag contradicts the probe evaluation")
+    @property
+    def passed(self) -> bool:
+        return evaluate_probe(self.spec, self.estimate.value)
 
 
 @dataclass(frozen=True)
@@ -135,23 +134,16 @@ class ValidationReport:
 
     target: AteEstimate
     probes: tuple[ProbeResult, ...]
-    hit_rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(self.probes))
         if not self.probes:
             raise ValueError("a report needs at least one probe")
-        want = sum(1 for p in self.probes if p.passed) / len(self.probes)
-        if self.hit_rate != want:
-            raise ValueError("hit_rate inconsistent with probe results")
 
-
-def hit_rate(results: Sequence[ProbeResult]) -> float:
-    """Fraction of probes that passed. Undefined (an error) when empty."""
-    results = tuple(results)
-    if not results:
-        raise ValueError("hit rate is undefined without probes")
-    return sum(1 for r in results if r.passed) / len(results)
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of probes that passed."""
+        return sum(1 for p in self.probes if p.passed) / len(self.probes)
 
 
 def validate(
@@ -177,8 +169,8 @@ def validate(
                 f"probe {spec.treatment}->{spec.outcome} paired with "
                 f"estimate {est.treatment}->{est.outcome}"
             )
-        results.append(ProbeResult(spec, est, evaluate_probe(spec, est.value)))
-    return ValidationReport(target, tuple(results), hit_rate(results))
+        results.append(ProbeResult(spec, est))
+    return ValidationReport(target, results)
 
 
 def format_expectation(e: Expectation) -> str:

@@ -117,8 +117,8 @@ class SimParams:
             raise ValueError("eps_probe must be finite and >= 0")
         if self.n_runs < 0:
             raise ValueError("n_runs must be >= 0")
-        if not self.penalty > 0:
-            raise ValueError("penalty must be positive")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be finite and > 0")
 
 
 @dataclass(frozen=True, slots=True)

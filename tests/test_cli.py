@@ -231,6 +231,22 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_infinite_penalty_is_usage_error(self, tmp_path, capsys):
+        rc = main(
+            [
+                "simulate",
+                "--penalty",
+                "inf",
+                "--runs",
+                "1",
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "penalty" in capsys.readouterr().err
+        assert not (tmp_path / "runs.csv").exists()
+
     def test_zero_threads_is_usage_error(self, tmp_path, capsys):
         rc = main(
             [
@@ -798,6 +814,77 @@ class TestAnalyze:
         )
         assert rc == 2
         assert "penalty" in capsys.readouterr().err
+
+    def test_infinite_penalty_is_usage_error(self, workdir, capsys):
+        rc = main(
+            [
+                "analyze",
+                str(workdir / "data.csv"),
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,slippery",
+                "--penalty",
+                "inf",
+                "--out-dir",
+                str(workdir),
+            ]
+        )
+        assert rc == 2
+        assert "penalty" in capsys.readouterr().err
+        assert not (workdir / "report.json").exists()
+
+    def test_byte_order_mark_gives_the_same_report(self, workdir, capsys):
+        text = (workdir / "data.csv").read_text(encoding="utf-8")
+        (workdir / "bom.csv").write_text("\ufeff" + text, encoding="utf-8")
+        reports = []
+        for name in ("data.csv", "bom.csv"):
+            out = workdir / name.replace(".csv", "")
+            rc = main(
+                [
+                    "analyze",
+                    str(workdir / name),
+                    "--knowledge",
+                    str(workdir / "knowledge.txt"),
+                    "--probes",
+                    str(workdir / "probes.txt"),
+                    "--target",
+                    "season,slippery",
+                    "--out-dir",
+                    str(out),
+                ]
+            )
+            assert rc in (0, 3)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_non_binary_cell_is_data_error_before_the_search(
+        self, workdir, capsys, monkeypatch
+    ):
+        path = str(workdir / "yes.csv")
+        with open(path, "w") as fh:
+            fh.write("sprinkler,wet,slippery\n0,0,1\n1,yes,1\n")
+
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(pipeline, "ges", no_search)
+        rc = main(
+            [
+                "analyze",
+                path,
+                "--probes",
+                str(workdir / "probes.txt"),
+                "--target",
+                "sprinkler,slippery",
+                "--out-dir",
+                str(workdir),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path}: cell at row 1, column 'wet' is 'yes'" in err
+        assert not (workdir / "report.json").exists()
 
     def test_self_target_is_usage_error(self, workdir, capsys):
         rc = main(

@@ -1,55 +1,87 @@
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from causalprobe import dataset
-from causalprobe.dataset import (
-    BinaryDataset,
-    RawDataset,
-    binarize,
-    drop_columns,
-    read_csv,
-    to_binary,
-    write_csv,
-)
+from causalprobe.dataset import BinaryDataset, read_csv, write_csv
 from causalprobe.errors import DataError
 
-
-def make_raw():
-    return RawDataset(
-        ["color", "size", "sold"],
-        [
-            ("red", "big", "1"),
-            ("blue", "small", "0"),
-            ("red", "small", "1"),
-            ("green", "big", "0"),
-        ],
-    )
+PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=100
+)
 
 
-class TestRawDataset:
-    def test_basic(self):
-        d = make_raw()
-        assert d.n_rows == 4
+def write_text(tmp_path, text, name="t.csv"):
+    p = str(tmp_path / name)
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return p
+
+
+class TestReadCsv:
+    def test_basic(self, tmp_path):
+        d = read_csv(write_text(tmp_path, "color,size,sold\n1,0,1\n0,0,1\n"))
+        assert d.n_rows == 2
         assert d.column_index("size") == 1
+        assert list(d.column("sold")) == [1, 1]
 
-    def test_duplicate_columns_rejected(self):
-        with pytest.raises(DataError):
-            RawDataset(["a", "a"], [])
+    def test_duplicate_columns_rejected(self, tmp_path):
+        p = write_text(tmp_path, "a,a\n0,1\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(p)}: duplicate"):
+            read_csv(p)
 
-    def test_ragged_row_rejected(self):
-        with pytest.raises(DataError):
-            RawDataset(["a", "b"], [("1",)])
+    def test_ragged_row_rejected(self, tmp_path):
+        p = write_text(tmp_path, "a,b\n0,1\n1\n")
+        with pytest.raises(
+            DataError, match=rf"^{re.escape(p)}: row 1 has 1 cells, expected 2"
+        ):
+            read_csv(p)
 
-    def test_unknown_column(self):
-        with pytest.raises(DataError):
-            make_raw().column_index("weight")
+    def test_unknown_column(self, tmp_path):
+        d = read_csv(write_text(tmp_path, "a,b\n0,1\n"))
+        with pytest.raises(DataError, match="'weight'"):
+            d.column_index("weight")
 
-    def test_no_columns_rejected(self):
-        with pytest.raises(DataError):
-            RawDataset([], [])
+    def test_no_columns_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="at least one column"):
+            read_csv(write_text(tmp_path, "\n0\n"))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = read_csv(write_text(tmp_path, "season,rain\n0,1\n"))
+        marked = read_csv(
+            write_text(tmp_path, "\ufeffseason,rain\n0,1\n", "bom.csv")
+        )
+        assert marked.columns == ("season", "rain")
+        assert marked == plain
+
+
+class TestToBinary:
+    """read_csv turns the text cells "0" and "1" into the uint8 matrix."""
+
+    def test_converts(self, tmp_path):
+        d = read_csv(write_text(tmp_path, "a,b\n0,1\n1,1\n"))
+        assert d.values.dtype == np.uint8
+        assert list(d.values.ravel()) == [0, 1, 1, 1]
+
+    def test_reports_location(self, tmp_path):
+        p = write_text(tmp_path, "a,b\n0,1\n1,yes\n2,no\n")
+        with pytest.raises(
+            DataError,
+            match=rf"^{re.escape(p)}: cell at row 1, column 'b' is 'yes'",
+        ):
+            read_csv(p)
+
+    def test_only_exact_0_and_1_cells_pass(self, tmp_path):
+        for cell in (" 1", "1 ", "01", "", "1.0", "x" * 1000):
+            p = write_text(tmp_path, f"a,b\n0,1\n1,{cell}\n")
+            with pytest.raises(DataError, match="row 1, column 'b'"):
+                read_csv(p)
 
 
 class TestBinaryDataset:
@@ -79,17 +111,22 @@ class TestBinaryDataset:
 
 
 class TestCsv:
-    def test_round_trip_raw(self, tmp_path):
-        d = make_raw()
-        p = str(tmp_path / "t.csv")
-        write_csv(d, p)
-        assert read_csv(p) == d
-
-    def test_round_trip_binary(self, tmp_path):
-        d = BinaryDataset(["a", "b"], np.array([[0, 1], [1, 0], [1, 1]]))
-        p = str(tmp_path / "b.csv")
-        write_csv(d, p)
-        assert to_binary(read_csv(p)) == d
+    @PROPERTY
+    @given(
+        arrays(
+            np.uint8,
+            st.tuples(st.integers(0, 20), st.integers(1, 6)),
+            elements=st.integers(0, 1),
+        )
+    )
+    @example(np.zeros((0, 1), dtype=np.uint8))
+    @example(np.ones((3, 1), dtype=np.uint8))
+    def test_round_trip_binary(self, values):
+        d = BinaryDataset([f"c{j}" for j in range(values.shape[1])], values)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "b.csv")
+            write_csv(d, p)
+            assert read_csv(p) == d
 
     def test_exact_bytes(self, tmp_path):
         d = BinaryDataset(["a", "b"], np.array([[0, 1]]))
@@ -115,12 +152,12 @@ class TestCsv:
         p.write_text("old\n")
 
         def failing_lines(rows):
-            yield "color,size,sold\n"
+            yield "a,b\n"
             raise RuntimeError("write failed midway")
 
         monkeypatch.setattr(dataset, "_csv_lines", failing_lines)
         with pytest.raises(RuntimeError):
-            write_csv(make_raw(), str(p))
+            write_csv(BinaryDataset(["a", "b"], np.eye(2)), str(p))
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["t.csv"]
 
@@ -129,65 +166,3 @@ class TestCsv:
         p.write_text("")
         with pytest.raises(DataError):
             read_csv(str(p))
-
-
-class TestBinarize:
-    def test_maps_and_drops(self):
-        d = make_raw()
-        out = binarize(d, "color", "blue", "red")
-        # green row dropped; red -> 1, blue -> 0
-        assert out.n_rows == 3
-        assert [r[0] for r in out.rows] == ["1", "0", "1"]
-        # untouched columns survive
-        assert [r[1] for r in out.rows] == ["big", "small", "small"]
-
-    def test_equal_values_rejected(self):
-        with pytest.raises(DataError):
-            binarize(make_raw(), "color", "red", "red")
-
-    def test_unknown_column(self):
-        with pytest.raises(DataError):
-            binarize(make_raw(), "weight", "a", "b")
-
-    def test_both_labels_absent_rejected(self):
-        # A mapping that matches no cell at all is a misconfiguration.
-        with pytest.raises(DataError):
-            binarize(make_raw(), "color", "cyan", "magenta")
-
-    def test_empty_input_stays_empty(self):
-        empty = RawDataset(["color"], [])
-        out = binarize(empty, "color", "red", "blue")
-        assert out.n_rows == 0
-
-
-class TestDropColumns:
-    def test_raw(self):
-        out = drop_columns(make_raw(), ["size"])
-        assert out.columns == ("color", "sold")
-        assert out.rows[0] == ("red", "1")
-
-    def test_binary(self):
-        d = BinaryDataset(["a", "b", "c"], np.array([[0, 1, 1]]))
-        out = drop_columns(d, ["b"])
-        assert out.columns == ("a", "c")
-        assert list(out.values[0]) == [0, 1]
-
-    def test_unknown(self):
-        with pytest.raises(DataError):
-            drop_columns(make_raw(), ["weight"])
-
-    def test_cannot_drop_all(self):
-        with pytest.raises(DataError):
-            drop_columns(make_raw(), ["color", "size", "sold"])
-
-
-class TestToBinary:
-    def test_converts(self):
-        d = RawDataset(["a", "b"], [("0", "1"), ("1", "1")])
-        out = to_binary(d)
-        assert list(out.values.ravel()) == [0, 1, 1, 1]
-
-    def test_reports_location(self):
-        d = RawDataset(["a", "b"], [("0", "1"), ("1", "yes")])
-        with pytest.raises(DataError, match=r"row 1, column 'b'"):
-            to_binary(d)

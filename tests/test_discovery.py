@@ -190,6 +190,12 @@ class TestBicScore:
                 hits += 1
         assert hits >= 95
 
+    def test_penalty_must_be_finite_and_positive(self):
+        d = BinaryDataset(["a", "b"], np.array([[0, 1], [1, 0]]))
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="penalty"):
+                ges(d, penalty=bad)
+
     def test_capacity_guard(self):
         cols = [f"v{i}" for i in range(17)]
         d = BinaryDataset(cols, np.zeros((4, 17), dtype=np.uint8))

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from causalprobe.bayesnet import Cbn, Cpd, sample, true_ate
-from causalprobe.dataset import BinaryDataset, RawDataset
+from causalprobe.dataset import BinaryDataset
 from causalprobe.discovery import Knowledge
 from causalprobe.errors import DataError, PipelineError
 from causalprobe.estimation import METHOD_TRIVIAL_ZERO
@@ -12,10 +13,6 @@ from causalprobe.graph import Dag, shd
 from causalprobe.pipeline import (
     AnalysisConfig,
     AnalysisResult,
-    Binarize,
-    DropColumns,
-    GraphEdit,
-    apply_graph_edits,
     report_to_json,
     report_to_text,
     run_end_to_end,
@@ -53,58 +50,6 @@ def chain_config(**overrides):
     return AnalysisConfig(**base)
 
 
-class TestGraphEdits:
-    def setup_method(self):
-        self.g = Dag(["a", "b", "c"], [(0, 1), (1, 2)])
-
-    def test_empty_list_is_identity(self):
-        assert apply_graph_edits(self.g, []) == self.g
-
-    def test_add(self):
-        out = apply_graph_edits(self.g, [GraphEdit("add", "a", "c")])
-        assert out.edges == frozenset({(0, 1), (0, 2), (1, 2)})
-
-    def test_remove(self):
-        out = apply_graph_edits(self.g, [GraphEdit("remove", "b", "c")])
-        assert out.edges == frozenset({(0, 1)})
-
-    def test_reverse(self):
-        out = apply_graph_edits(self.g, [GraphEdit("reverse", "b", "c")])
-        assert set(out.edges) == {(0, 1), (2, 1)}
-
-    def test_sequence_applies_in_order(self):
-        out = apply_graph_edits(
-            self.g,
-            [GraphEdit("remove", "a", "b"), GraphEdit("add", "b", "a")],
-        )
-        assert set(out.edges) == {(1, 0), (1, 2)}
-
-    def test_cycle_rejected(self):
-        g = Dag(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ValueError):
-            apply_graph_edits(g, [GraphEdit("reverse", "a", "c")])
-
-    def test_add_creating_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            apply_graph_edits(self.g, [GraphEdit("add", "c", "a")])
-
-    def test_add_existing_rejected(self):
-        with pytest.raises(ValueError):
-            apply_graph_edits(self.g, [GraphEdit("add", "a", "b")])
-
-    def test_remove_missing_rejected(self):
-        with pytest.raises(ValueError):
-            apply_graph_edits(self.g, [GraphEdit("remove", "a", "c")])
-
-    def test_unknown_node_rejected(self):
-        with pytest.raises(ValueError):
-            apply_graph_edits(self.g, [GraphEdit("add", "a", "z")])
-
-    def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError):
-            GraphEdit("orient", "a", "b")
-
-
 class TestConfigValidation:
     def test_target_must_be_distinct(self):
         with pytest.raises(ValueError):
@@ -115,8 +60,9 @@ class TestConfigValidation:
             chain_config(probes=())
 
     def test_penalty_positive(self):
-        with pytest.raises(ValueError):
-            chain_config(penalty=0.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="penalty"):
+                chain_config(penalty=bad)
 
 
 class TestEndToEnd:
@@ -159,10 +105,13 @@ class TestEndToEnd:
         assert flags == [True, True, False, False]
         assert res.report.hit_rate == 0.5
 
-    def test_graph_edit_can_sever_target_path(self):
+    def test_forbidden_edges_can_sever_target_path(self):
         data = chain_data()
-        cfg = chain_config(graph_edits=(GraphEdit("remove", "x0", "x1"),))
+        cfg = chain_config(
+            knowledge=Knowledge(forbidden=[("x0", "x1"), ("x0", "x2")])
+        )
         res = run_end_to_end(data, cfg)
+        assert not res.discovered.has_directed_path(0, 2)
         assert res.report.target.value == 0.0
         assert res.report.target.method == METHOD_TRIVIAL_ZERO
 
@@ -171,50 +120,6 @@ class TestEndToEnd:
         assert isinstance(data, BinaryDataset)
         res = run_end_to_end(data, chain_config())
         assert isinstance(res, AnalysisResult)
-
-
-class TestPreprocessing:
-    def make_raw(self):
-        rows = []
-        rng = np.random.default_rng(3)
-        net = chain_net()
-        d = sample(net, 800, rng)
-        for i in range(d.n_rows):
-            x0 = "yes" if d.values[i, 0] else "no"
-            rows.append(
-                (x0, str(d.values[i, 1]), str(d.values[i, 2]), "junk")
-            )
-        return RawDataset(["x0", "x1", "x2", "note"], rows)
-
-    def test_steps_apply_in_order(self):
-        raw = self.make_raw()
-        cfg = chain_config(
-            preprocessing=(
-                Binarize("x0", "no", "yes"),
-                DropColumns(["note"]),
-            )
-        )
-        res = run_end_to_end(raw, cfg)
-        assert set(res.discovered.labels) == {"x0", "x1", "x2"}
-
-    def test_wrong_order_fails_in_preprocessing_stage(self):
-        raw = self.make_raw()
-        cfg = chain_config(
-            preprocessing=(
-                DropColumns(["x0"]),
-                Binarize("x0", "no", "yes"),
-            )
-        )
-        with pytest.raises(PipelineError) as exc:
-            run_end_to_end(raw, cfg)
-        assert exc.value.stage == "preprocessing"
-        assert isinstance(exc.value.cause, DataError)
-
-    def test_binarize_on_binary_data_rejected(self):
-        cfg = chain_config(preprocessing=(Binarize("x0", "no", "yes"),))
-        with pytest.raises(PipelineError) as exc:
-            run_end_to_end(chain_data(m=100), cfg)
-        assert exc.value.stage == "preprocessing"
 
 
 class TestStageAnnotation:
@@ -248,12 +153,6 @@ class TestStageAnnotation:
             run_end_to_end(empty, chain_config())
         assert exc.value.stage == "discovery"
         assert isinstance(exc.value.cause, DataError)
-
-    def test_graph_edit_stage_error(self):
-        cfg = chain_config(graph_edits=(GraphEdit("remove", "x2", "x0"),))
-        with pytest.raises(PipelineError) as exc:
-            run_end_to_end(chain_data(), cfg)
-        assert exc.value.stage == "graph-edit"
 
 
 class TestReportRendering:

@@ -16,7 +16,6 @@ from causalprobe.probing import (
     ValidationReport,
     evaluate_probe,
     format_probes,
-    hit_rate,
     parse_probes,
     validate,
 )
@@ -113,37 +112,31 @@ class TestEvaluateProbe:
 
 
 class TestHitRate:
-    def make_results(self, outcomes):
-        out = []
+    def make_report(self, outcomes):
+        results = []
         for i, passed in enumerate(outcomes):
             s = spec("t", f"o{i}", GreaterThan(0.0))
             value = 1.0 if passed else -1.0
-            out.append(ProbeResult(s, est("t", f"o{i}", value), passed))
-        return out
+            results.append(ProbeResult(s, est("t", f"o{i}", value)))
+        return ValidationReport(est("x", "y", 0.0), results)
 
     def test_all_pass(self):
-        assert hit_rate(self.make_results([True] * 5) ) == 1.0
+        assert self.make_report([True] * 5).hit_rate == 1.0
 
     def test_half(self):
-        assert hit_rate(self.make_results([True] * 12 + [False] * 12)) == 0.5
+        assert self.make_report([True] * 12 + [False] * 12).hit_rate == 0.5
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            hit_rate([])
+            self.make_report([])
 
     def test_permutation_invariant(self):
-        results = self.make_results([True, False, True, True, False])
-        assert hit_rate(results) == hit_rate(list(reversed(results)))
+        report = self.make_report([True, False, True, True, False])
+        flipped = ValidationReport(report.target, reversed(report.probes))
+        assert report.hit_rate == flipped.hit_rate
 
     def test_exact_rational(self):
-        assert hit_rate(self.make_results([True, False, False, False])) == 0.25
-
-
-class TestProbeResult:
-    def test_consistency_enforced(self):
-        s = spec(expectation=GreaterThan(0.0))
-        with pytest.raises(ValueError):
-            ProbeResult(s, est("t", "o", -1.0), True)
+        assert self.make_report([True, False, False, False]).hit_rate == 0.25
 
 
 class TestValidate:
@@ -186,11 +179,7 @@ class TestValidate:
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ValidationReport(est("x", "y", 1.0), (), 1.0)
-        s = spec()
-        r = ProbeResult(s, est("t", "o", 1.0), True)
-        with pytest.raises(ValueError):
-            ValidationReport(est("x", "y", 1.0), (r,), 0.5)
+            ValidationReport(est("x", "y", 1.0), ())
 
 
 class TestProbesFile:

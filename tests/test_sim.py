@@ -149,8 +149,9 @@ class TestSimParams:
             SimParams(eps_probe=-0.1)
         with pytest.raises(ValueError):
             SimParams(n_runs=-1)
-        with pytest.raises(ValueError):
-            SimParams(penalty=0.0)
+        for penalty in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="penalty"):
+                SimParams(penalty=penalty)
 
     def test_non_finite_eps_probe_rejected(self):
         for eps in (math.inf, math.nan):

@@ -15,7 +15,6 @@ from causalprobe import (
     Cpdag,
     Dag,
     Knowledge,
-    RawDataset,
     dag_to_cpdag,
     sprinkler_data,
     sprinkler_net,
@@ -28,7 +27,6 @@ VALUES = {
     Cbn: sprinkler_net,
     Cpdag: lambda: dag_to_cpdag(sprinkler_net().graph),
     Knowledge: lambda: Knowledge([("a", "b")], [("b", "c")]),
-    RawDataset: lambda: RawDataset(["a", "b"], [["0", "1"], ["yes", "no"]]),
     BinaryDataset: lambda: sprinkler_data(m=50, seed=1),
 }
 
