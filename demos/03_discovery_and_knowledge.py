@@ -74,8 +74,11 @@ print()
 
 know = Knowledge(required=[("a", "b")], forbidden=[("c", "b")])
 data = sample(chain, 2000, rng)
+# The search applies the knowledge and closes the orientation rules, so
+# the pattern already has a -> b and b -> c directed; orientation reads
+# only the pattern.
 pattern = ges(data, know)
-dag = orient_to_dag(pattern, know)
+dag = orient_to_dag(pattern)
 print("With 'require a -> b' and 'forbid c -> b', discovery plus")
 print("orientation commits to a single DAG:")
 print()

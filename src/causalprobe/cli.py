@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
@@ -45,7 +44,7 @@ from .sim import (
 from .sprinkler import run_sprinkler_demo
 from .svgplot import histogram_svg, means_svg, scatter_svg
 
-__all__ = ["PlotSpec", "main", "parse_config"]
+__all__ = ["main", "parse_config"]
 
 PLOT_KINDS = ("scatter", "means", "histogram")
 PLOT_YS = ("abs_err", "rel_err", "shd", "count")
@@ -53,25 +52,6 @@ PLOT_YS = ("abs_err", "rel_err", "shd", "count")
 
 class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """What to draw: hit rate on x, one run metric on y."""
-
-    kind: str
-    y: str
-    output: str
-
-    def __post_init__(self):
-        if self.kind not in PLOT_KINDS:
-            raise ValueError(f"kind must be one of {PLOT_KINDS}")
-        if self.y not in PLOT_YS:
-            raise ValueError(f"y must be one of {PLOT_YS}")
-        if self.kind == "histogram" and self.y != "count":
-            raise ValueError("histogram plots counts; use --y count")
-        if self.kind != "histogram" and self.y == "count":
-            raise ValueError(f"{self.kind} needs a metric y, not count")
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -194,37 +174,30 @@ def _load_plot_table(path: str) -> tuple[list[RunRecord], list[AggRow]]:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    try:
-        spec = PlotSpec(args.kind, args.y, args.output)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # Hit rate on x, one run metric on y; argparse has checked each choice.
+    kind = args.kind
+    y = args.y or ("count" if kind == "histogram" else "abs_err")
+    if kind == "histogram" and y != "count":
+        raise UsageError("histogram plots counts; use --y count")
+    if kind != "histogram" and y == "count":
+        raise UsageError(f"{kind} needs a metric y, not count")
     records, rows = _load_plot_table(args.input)
-    if spec.kind == "scatter":
+    if kind == "scatter":
         if not records:
             raise UsageError(
                 "scatter needs per-run data; pass a runs.csv file"
             )
-        points = [(r.hit_rate, float(getattr(r, spec.y))) for r in records]
-        svg = scatter_svg(
-            points, "hit rate", spec.y, f"{spec.y} by hit rate"
-        )
-    elif spec.kind == "means":
-        points = [
-            (row.hit_rate, float(getattr(row, f"mean_{spec.y}")))
-            for row in rows
-        ]
-        svg = means_svg(
-            points,
-            "hit rate",
-            f"mean {spec.y}",
-            f"mean {spec.y} by hit rate",
-        )
+        points = [(r.hit_rate, float(getattr(r, y))) for r in records]
+        svg = scatter_svg(points, "hit rate", y, f"{y} by hit rate")
+    elif kind == "means":
+        points = [(row.hit_rate, float(getattr(row, f"mean_{y}"))) for row in rows]
+        svg = means_svg(points, "hit rate", f"mean {y}", f"mean {y} by hit rate")
     else:
         bars = [(row.hit_rate, row.count) for row in rows]
         svg = histogram_svg(
             bars, "hit rate", "count", "hit rate histogram"
         )
-    output = spec.output
+    output = args.output
     if not os.path.isabs(output) and os.path.dirname(output) == "":
         output = os.path.join(args.out_dir, output)
     _atomic_write(output, [svg])
@@ -233,8 +206,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_sprinkler(args: argparse.Namespace) -> int:
-    seed = 0 if args.seed is None else args.seed
-    result = run_sprinkler_demo(seed=seed, flip=args.flip_knowledge)
+    result = run_sprinkler_demo(seed=args.seed, flip=args.flip_knowledge)
     sys.stdout.write(report_to_text(result))
     return 0
 
@@ -274,23 +246,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if result.report.hit_rate == 1.0 else 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=int, default=None, help="master random seed"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes for simulate (default: machine parallelism)",
-    )
-    common.add_argument(
+def _add_out_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--out-dir",
         default=".",
         help="directory for output files (default: current directory)",
     )
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalprobe",
         description=(
@@ -306,9 +270,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser(
         "simulate",
-        parents=[common],
         help="run a seeded simulation study; writes runs.csv and runs.jsonl",
     )
+    p_sim.add_argument(
+        "--seed", type=int, default=None, help="master random seed"
+    )
+    p_sim.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes (default: machine parallelism)",
+    )
+    _add_out_dir(p_sim)
     p_sim.add_argument("--config", default=None, help="key = value file")
     p_sim.add_argument("--n", type=int, default=None, help="node count")
     p_sim.add_argument("--p-edge", type=float, default=None)
@@ -324,10 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_agg = sub.add_parser(
         "aggregate",
-        parents=[common],
         help="per-hit-rate means from a runs.csv, or an outlier listing",
     )
     p_agg.add_argument("runs_csv")
+    _add_out_dir(p_agg)
     p_agg.add_argument(
         "--connected-only",
         action="store_true",
@@ -342,10 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser(
         "plot",
-        parents=[common],
         help="render a runs.csv or agg.csv as a static SVG chart",
     )
     p_plot.add_argument("input")
+    _add_out_dir(p_plot)
     p_plot.add_argument("--kind", choices=PLOT_KINDS, required=True)
     p_plot.add_argument("--y", choices=PLOT_YS, default=None)
     p_plot.add_argument(
@@ -355,8 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser(
         "demo-sprinkler",
-        parents=[common],
         help="run the five-variable sprinkler walkthrough",
+    )
+    p_demo.add_argument(
+        "--seed", type=int, default=0, help="sampling seed (default: 0)"
     )
     p_demo.add_argument(
         "--flip-knowledge",
@@ -367,10 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser(
         "analyze",
-        parents=[common],
         help="end-to-end analysis of a CSV with knowledge and probe files",
     )
     p_ana.add_argument("data_csv")
+    _add_out_dir(p_ana)
     p_ana.add_argument("--knowledge", default=None)
     p_ana.add_argument("--probes", required=True)
     p_ana.add_argument("--target", required=True, help="treatment,outcome")
@@ -387,10 +362,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    if args.command == "plot" and args.y is None:
-        args.y = "count" if args.kind == "histogram" else "abs_err"
     try:
-        os.makedirs(args.out_dir, exist_ok=True)
+        if hasattr(args, "out_dir"):
+            os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -147,9 +146,13 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def write_csv(data: BinaryDataset, path: str) -> None:
     """Write a dataset as comma-separated text with a header row and LF
     endings, atomically."""
-    rows = ([int(x) for x in row] for row in data.values)
+    # csv quotes the names as needed; the 0/1 body is one character matrix:
+    # digits at even positions, commas between them, a newline at the end.
+    body = np.full((data.n_rows, 2 * len(data.columns)), ord(","), dtype=np.uint8)
+    body[:, 0::2] = data.values + ord("0")
+    body[:, -1] = ord("\n")
     try:
-        _atomic_write(path, _csv_lines(itertools.chain([data.columns], rows)))
+        _atomic_write(path, [*_csv_lines([data.columns]), body.tobytes().decode()])
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

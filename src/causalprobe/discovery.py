@@ -6,7 +6,8 @@ backward deletion phase does the same. Domain knowledge enters three ways:
 required edges are installed before the forward phase and are never deletion
 candidates, forbidden edges are never introduced in their stated direction,
 and after every operator the pattern is re-oriented so knowledge-implied
-directions propagate through Meek's rules.
+directions propagate through Meek's rules. The returned pattern therefore
+carries the knowledge, and committing it to a DAG reads only the pattern.
 
 All tie-breaks are fixed (enumeration order: by edge, then by subset), so
 the search is a deterministic function of its inputs.
@@ -358,13 +359,13 @@ def dag_to_cpdag(graph: Dag) -> Cpdag:
 
 
 def _knowledge_edges(
-    knowledge: Knowledge, labels: Sequence[str], what: str
+    knowledge: Knowledge, labels: Sequence[str]
 ) -> tuple[set, set]:
     """Required and forbidden edges as index pairs into ``labels``."""
     unknown = knowledge.node_names() - set(labels)
     if unknown:
         raise KnowledgeError(
-            f"knowledge references unknown {what}: {sorted(unknown)}"
+            f"knowledge references unknown columns: {sorted(unknown)}"
         )
     index = {lab: i for i, lab in enumerate(labels)}
     return (
@@ -528,7 +529,7 @@ def _delete(directed: set, undirected: set, move) -> tuple[set, set]:
 
 def ges(
     data: BinaryDataset,
-    knowledge: Knowledge | None = None,
+    knowledge: Knowledge = Knowledge(),
     penalty: float = 1.0,
 ) -> Cpdag:
     """Greedy equivalence search over the dataset's columns.
@@ -539,10 +540,8 @@ def ges(
     best-scoring move wins, and ties go to enumeration order: by x, then by
     y, then by the subset's size and lexicographic order.
     """
-    if knowledge is None:
-        knowledge = Knowledge()
     labels = data.columns
-    required, forbidden = _knowledge_edges(knowledge, labels, "columns")
+    required, forbidden = _knowledge_edges(knowledge, labels)
     n = len(labels)
     scorer = _Scorer(data, penalty)
 
@@ -576,32 +575,28 @@ def ges(
     return Cpdag(labels, directed, undirected)
 
 
-def orient_to_dag(pattern: Cpdag, knowledge: Knowledge | None = None) -> Dag:
+def orient_to_dag(pattern: Cpdag) -> Dag:
     """Commit a pattern to a single DAG.
 
-    Knowledge is applied first (required edges, then undirected edges
-    forbidden in one direction), then the orientation rules are closed;
-    remaining undirected edges are oriented lexicographically smallest first,
-    low index to high index, re-closing after each. The result is a consistent
-    extension: acyclic, same skeleton, same unshielded colliders. Raises
-    OrientationError when no consistent extension exists.
+    The orientation rules are closed first; remaining undirected edges are
+    oriented lexicographically smallest first, low index to high index,
+    re-closing after each. Knowledge is not an input: a pattern from
+    :func:`ges` already has its required edges, and its edges forbidden in
+    one direction, directed. The result is a consistent extension: acyclic,
+    same skeleton, same unshielded colliders. Raises OrientationError when
+    no consistent extension exists.
     """
-    if knowledge is None:
-        knowledge = Knowledge()
-    labels = pattern.labels
-    required, forbidden = _knowledge_edges(knowledge, labels, "nodes")
     n = pattern.n
     directed = set(pattern.directed)
     undirected = set(pattern.undirected)
     before_colliders = pattern.v_structures()
-    _apply_knowledge_orientations(labels, directed, undirected, required, forbidden)
     _meek_closure(n, directed, undirected)
     while undirected:
         a, b = min(undirected)
         _orient(directed, undirected, a, b)
         _meek_closure(n, directed, undirected)
     try:
-        result = Dag(labels, directed)
+        result = Dag(pattern.labels, directed)
     except ValueError as exc:
         raise OrientationError(f"orientation produced a cycle: {exc}") from exc
     if dagv_structures(result) != before_colliders:

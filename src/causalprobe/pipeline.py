@@ -86,7 +86,7 @@ def run_end_to_end(data: BinaryDataset, cfg: AnalysisConfig) -> AnalysisResult:
     """
     _stage("config", _check_names, data, cfg)
     pattern = _stage("discovery", ges, data, cfg.knowledge, cfg.penalty)
-    dag = _stage("orientation", orient_to_dag, pattern, cfg.knowledge)
+    dag = _stage("orientation", orient_to_dag, pattern)
 
     def _estimate():
         target = estimate_ate_linear(data, dag, *cfg.target)

@@ -85,11 +85,9 @@ def sprinkler_data(m: int = 10_000, seed: int = 0) -> BinaryDataset:
     return sample(sprinkler_net(), m, np.random.default_rng(seed))
 
 
-def run_sprinkler_demo(
-    m: int = 10_000, seed: int = 0, flip: bool = False
-) -> AnalysisResult:
+def run_sprinkler_demo(seed: int = 0, flip: bool = False) -> AnalysisResult:
     """Sample the fixture and run the end-to-end analysis on it."""
-    return run_end_to_end(sprinkler_data(m, seed), sprinkler_config(flip))
+    return run_end_to_end(sprinkler_data(seed=seed), sprinkler_config(flip))
 
 
 def oracle_target_ate() -> float:

@@ -198,7 +198,7 @@ def test_criterion_5_discovery_correctness():
             picks = rng.choice(len(non_adj), size=min(3, len(non_adj)), replace=False)
             forbidden += [non_adj[j] for j in sorted(picks)]
         know = Knowledge(required=required, forbidden=forbidden)
-        dag = orient_to_dag(ges(data, know), know)
+        dag = orient_to_dag(ges(data, know))
         edges = {(name[a], name[b]) for a, b in dag.edges}
         respected += know.required <= edges and not (know.forbidden & edges)
 

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from causalprobe import __version__, pipeline
-from causalprobe.cli import PlotSpec, main, parse_config
+from causalprobe.cli import main, parse_config
 from causalprobe.dataset import write_csv
 from causalprobe.sim import (
     RUNS_CSV_COLUMNS,
@@ -117,23 +117,63 @@ class TestParsing:
             parse_config("n 5")
 
 
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, tmp_path, capsys):
+        runs = str(tmp_path / "runs.csv")
+        for argv in (
+            ["analyze", "d.csv", "--probes", "p.txt", "--target", "a,b",
+             "--threads", "2"],
+            ["aggregate", runs, "--seed", "1"],
+            ["plot", runs, "--kind", "histogram", "--threads", "2"],
+            ["demo-sprinkler", "--out-dir", str(tmp_path / "x")],
+        ):
+            assert main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+def seed_plot_files(tmp_path):
+    """A runs.csv of four completed runs and its agg.csv, in ``tmp_path``."""
+    records = [
+        make_record(run_index=i, hit_rate=r, abs_err=e, shd=s)
+        for i, (r, e, s) in enumerate(
+            [(0.5, 0.3, 4), (0.75, 0.2, 2), (1.0, 0.05, 0), (1.0, 0.1, 1)]
+        )
+    ]
+    runs = tmp_path / "runs.csv"
+    write_runs_csv(str(runs), records)
+    assert main(["aggregate", str(runs), "--out-dir", str(tmp_path)]) == 0
+    return str(runs), str(tmp_path / "agg.csv")
+
+
 class TestPlotSpec:
-    def test_valid_combinations(self):
-        PlotSpec("scatter", "abs_err", "a.svg")
-        PlotSpec("means", "shd", "a.svg")
-        PlotSpec("histogram", "count", "a.svg")
+    """Which --kind and --y pairs plot accepts."""
 
-    def test_histogram_requires_count(self):
-        with pytest.raises(ValueError):
-            PlotSpec("histogram", "abs_err", "a.svg")
+    def plot(self, tmp_path, kind, *y):
+        runs, _ = seed_plot_files(tmp_path)
+        out = str(tmp_path / "a.svg")
+        return main(["plot", runs, "--kind", kind, *y, "--output", out])
 
-    def test_scatter_rejects_count(self):
-        with pytest.raises(ValueError):
-            PlotSpec("scatter", "count", "a.svg")
+    def test_valid_combinations(self, tmp_path, capsys):
+        for kind, y in (
+            ("scatter", "abs_err"), ("means", "shd"), ("histogram", "count")
+        ):
+            assert self.plot(tmp_path, kind, "--y", y) == 0
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PlotSpec("pie", "count", "a.svg")
+    def test_histogram_requires_count(self, tmp_path, capsys):
+        assert self.plot(tmp_path, "histogram", "--y", "abs_err") == 2
+        assert capsys.readouterr().err == (
+            "error: histogram plots counts; use --y count\n"
+        )
+
+    def test_scatter_rejects_count(self, tmp_path, capsys):
+        assert self.plot(tmp_path, "scatter", "--y", "count") == 2
+        assert capsys.readouterr().err == (
+            "error: scatter needs a metric y, not count\n"
+        )
+
+    def test_unknown_kind_rejected(self, tmp_path, capsys):
+        assert self.plot(tmp_path, "pie", "--y", "count") == 2
+        assert "invalid choice: 'pie'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -437,30 +477,8 @@ class TestAggregate:
 
 
 class TestPlot:
-    def seed_files(self, tmp_path):
-        records = [
-            make_record(run_index=i, hit_rate=r, abs_err=e, shd=s)
-            for i, (r, e, s) in enumerate(
-                [(0.5, 0.3, 4), (0.75, 0.2, 2), (1.0, 0.05, 0), (1.0, 0.1, 1)]
-            )
-        ]
-        runs = tmp_path / "runs.csv"
-        write_runs_csv(str(runs), records)
-        assert (
-            main(
-                [
-                    "aggregate",
-                    str(runs),
-                    "--out-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        return str(runs), str(tmp_path / "agg.csv")
-
     def test_all_kinds_write_svg(self, tmp_path, capsys):
-        runs, agg = self.seed_files(tmp_path)
+        runs, agg = seed_plot_files(tmp_path)
         for kind, y, src in (
             ("scatter", "abs_err", runs),
             ("scatter", "rel_err", runs),
@@ -490,7 +508,7 @@ class TestPlot:
         capsys.readouterr()
 
     def test_plot_bytes_deterministic(self, tmp_path, capsys):
-        runs, _ = self.seed_files(tmp_path)
+        runs, _ = seed_plot_files(tmp_path)
         outs = []
         for name in ("p1.svg", "p2.svg"):
             path = tmp_path / name
@@ -514,7 +532,7 @@ class TestPlot:
         assert outs[0] == outs[1]
 
     def test_histogram_defaults_to_count(self, tmp_path, capsys):
-        runs, _ = self.seed_files(tmp_path)
+        runs, _ = seed_plot_files(tmp_path)
         out = tmp_path / "h.svg"
         rc = main(
             ["plot", runs, "--kind", "histogram", "--output", str(out)]
@@ -524,7 +542,7 @@ class TestPlot:
         assert out.exists()
 
     def test_scatter_on_agg_is_usage_error(self, tmp_path, capsys):
-        _, agg = self.seed_files(tmp_path)
+        _, agg = seed_plot_files(tmp_path)
         rc = main(
             [
                 "plot",
@@ -540,7 +558,7 @@ class TestPlot:
         assert rc == 2
 
     def test_bad_kind_y_combination_is_usage_error(self, tmp_path, capsys):
-        runs, _ = self.seed_files(tmp_path)
+        runs, _ = seed_plot_files(tmp_path)
         rc = main(
             [
                 "plot",
@@ -573,7 +591,7 @@ class TestPlot:
         assert rc == 1
 
     def test_bare_output_name_lands_in_out_dir(self, tmp_path, capsys):
-        runs, _ = self.seed_files(tmp_path)
+        runs, _ = seed_plot_files(tmp_path)
         rc = main(
             [
                 "plot",

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 import tempfile
@@ -134,6 +136,14 @@ class TestCsv:
         write_csv(d, p)
         with open(p, "rb") as fh:
             assert fh.read() == b"a,b\n0,1\n"
+        # Names that need quoting and many rows, against the csv module.
+        rng = np.random.default_rng(5)
+        d = BinaryDataset(["x,y", 'q"t', "é"], rng.integers(0, 2, (500, 3)))
+        write_csv(d, p)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([d.columns, *d.values.tolist()])
+        with open(p, "rb") as fh:
+            assert fh.read() == buf.getvalue().encode()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

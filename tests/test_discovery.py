@@ -252,9 +252,11 @@ class TestOrientToDag:
         assert orient_to_dag(p) == Dag("ab", [(0, 1)])
 
     def test_chain_with_required_becomes_fork(self):
-        p = Cpdag("abc", undirected=[(0, 1), (1, 2)])
-        k = Knowledge(required=[("b", "a")])
-        assert orient_to_dag(p, k) == Dag("abc", [(1, 0), (1, 2)])
+        # The search directs the required edge; the index rule then orients
+        # the other one out of x1.
+        d = sample(chain_net(), 1000, np.random.default_rng(101))
+        p = ges(d, Knowledge(required=[("x1", "x0")]))
+        assert orient_to_dag(p) == Dag(d.columns, [(1, 0), (1, 2)])
 
     def test_chain_no_knowledge_orients_by_index(self):
         p = Cpdag("abc", undirected=[(0, 1), (1, 2)])
@@ -303,32 +305,12 @@ class TestOrientToDag:
             assert dagv_structures(out) == p.v_structures()
             assert dag_to_cpdag(out) == p
 
-    def test_conflicting_requireds_error(self):
-        # The chain class has no member with colliding arrows into b.
-        p = Cpdag("abc", undirected=[(0, 1), (1, 2)])
-        k = Knowledge(required=[("a", "b"), ("c", "b")])
-        with pytest.raises(OrientationError):
-            orient_to_dag(p, k)
-
-    def test_required_against_pattern_direction_error(self):
-        p = Cpdag("abc", directed=[(0, 2), (1, 2)])
-        with pytest.raises(OrientationError):
-            orient_to_dag(p, Knowledge(required=[("c", "a")]))
-
-    def test_required_without_adjacency_error(self):
-        p = Cpdag("ab", undirected=[])
-        with pytest.raises(OrientationError):
-            orient_to_dag(p, Knowledge(required=[("a", "b")]))
-
     def test_forbidden_direction_is_not_chosen(self):
-        p = Cpdag("ab", undirected=[(0, 1)])
-        k = Knowledge(forbidden=[("a", "b")])
-        assert orient_to_dag(p, k) == Dag("ab", [(1, 0)])
-
-    def test_forbidden_edge_naming_unknown_node_rejected(self):
-        p = Cpdag("ab", undirected=[(0, 1)])
-        with pytest.raises(KnowledgeError):
-            orient_to_dag(p, Knowledge(forbidden=[("a", "zz")]))
+        # The index rule alone would pick x0 -> x1; the search has already
+        # directed the edge the allowed way.
+        d = sample(chain_net(), 1000, np.random.default_rng(109))
+        p = ges(d, Knowledge(forbidden=[("x0", "x1")]))
+        assert (1, 0) in orient_to_dag(p).edges
 
 
 def unshielded_colliders(directed, skeleton):
@@ -472,7 +454,7 @@ class TestGes:
             p = ges(d, k)
             for a, b in k.required:
                 assert (idx[a], idx[b]) in p.directed
-            out = orient_to_dag(p, k)
+            out = orient_to_dag(p)
             for a, b in k.required:
                 assert (idx[a], idx[b]) in out.edges
 
@@ -483,7 +465,7 @@ class TestGes:
             d = sample(random_cpds(g, rng), 500, rng)
             k = pick_hint_edges(g, 0.3, rng)
             p = ges(d, k)
-            found = graph_bic(d, orient_to_dag(p, k))
+            found = graph_bic(d, orient_to_dag(p))
             idx = {lab: i for i, lab in enumerate(d.columns)}
             start = graph_bic(
                 d, Dag(d.columns, [(idx[a], idx[b]) for a, b in k.required])
@@ -512,7 +494,7 @@ class TestGes:
         picks = rng.choice(len(non_adj), size=3, replace=False)
         forbidden += [non_adj[j] for j in sorted(picks)]
         know = Knowledge(required=sorted(k.required), forbidden=forbidden)
-        dag = orient_to_dag(ges(d, know), know)
+        dag = orient_to_dag(ges(d, know))
         edges = {(name[a], name[b]) for a, b in dag.edges}
         assert know.required <= edges
         assert not (know.forbidden & edges)

@@ -14,6 +14,9 @@ from causalprobe.bayesnet import Cbn, random_cpds, sample, true_ate
 from causalprobe.dataset import state_index
 from causalprobe.discovery import (
     Knowledge,
+    _apply_knowledge_orientations,
+    _knowledge_edges,
+    _meek_closure,
     dag_to_cpdag,
     dagv_structures,
     format_knowledge,
@@ -212,7 +215,7 @@ def _directed_edges(pattern, dag):
 def test_search_directs_every_required_edge(case):
     data, knowledge = case
     pattern = ges(data, knowledge)
-    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern, knowledge))
+    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern))
     assert knowledge.required <= in_pattern
     assert knowledge.required <= in_dag
 
@@ -222,9 +225,26 @@ def test_search_directs_every_required_edge(case):
 def test_search_never_directs_a_forbidden_edge(case):
     data, knowledge = case
     pattern = ges(data, knowledge)
-    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern, knowledge))
+    in_pattern, in_dag = _directed_edges(pattern, orient_to_dag(pattern))
     assert not knowledge.forbidden & in_pattern
     assert not knowledge.forbidden & in_dag
+
+
+@PROPERTY
+@given(searches())
+def test_search_returns_a_pattern_closed_under_its_knowledge(case):
+    # Orientation reads only the pattern, so applying the knowledge and the
+    # orientation rules once more must change nothing.
+    data, knowledge = case
+    pattern = ges(data, knowledge)
+    directed, undirected = set(pattern.directed), set(pattern.undirected)
+    required, forbidden = _knowledge_edges(knowledge, pattern.labels)
+    _apply_knowledge_orientations(
+        pattern.labels, directed, undirected, required, forbidden
+    )
+    _meek_closure(pattern.n, directed, undirected)
+    assert directed == pattern.directed
+    assert undirected == pattern.undirected
 
 
 @PROPERTY

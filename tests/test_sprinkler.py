@@ -8,6 +8,7 @@ from causalprobe.bayesnet import true_ate
 from causalprobe.discovery import parse_knowledge
 from causalprobe.estimation import METHOD_TRIVIAL_ZERO
 from causalprobe.graph import shd
+from causalprobe.pipeline import run_end_to_end
 from causalprobe.probing import evaluate_probe, parse_probes
 from causalprobe.sprinkler import (
     SPRINKLER_TARGET,
@@ -15,6 +16,7 @@ from causalprobe.sprinkler import (
     flipped_knowledge,
     oracle_target_ate,
     run_sprinkler_demo,
+    sprinkler_config,
     sprinkler_data,
     sprinkler_net,
     sprinkler_probes,
@@ -116,7 +118,11 @@ class TestFlippedKnowledge:
 
 class TestDeterminism:
     def test_identical_reports(self):
-        assert run_sprinkler_demo(m=2000) == run_sprinkler_demo(m=2000)
+        first, second = (
+            run_end_to_end(sprinkler_data(m=2000), sprinkler_config())
+            for _ in range(2)
+        )
+        assert first == second
 
     def test_target_constant(self):
         assert SPRINKLER_TARGET == ("sprinkler", "slippery")
