@@ -104,9 +104,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if args.threads is not None and args.threads < 1:
         raise UsageError("--threads must be a positive integer")
+    # An unusable --out-dir fails before the study, not after it.
+    csv_path = _out_path(args, "runs.csv")
+    jsonl_path = _out_path(args, "runs.jsonl")
     records = run_study(params, threads=args.threads)
-    csv_path = os.path.join(args.out_dir, "runs.csv")
-    jsonl_path = os.path.join(args.out_dir, "runs.jsonl")
     write_runs_csv(csv_path, records)
     write_runs_jsonl(jsonl_path, records)
     completed = [r for r in records if not r.failed]
@@ -156,7 +157,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.connected_only:
         records = filter_connected(records)
     rows = aggregate(records)
-    out_path = os.path.join(args.out_dir, "agg.csv")
+    out_path = _out_path(args, "agg.csv")
     write_agg_csv(out_path, rows)
     print(f"wrote {out_path} ({len(rows)} hit-rate groups)")
     return 0
@@ -199,7 +200,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         )
     output = args.output
     if not os.path.isabs(output) and os.path.dirname(output) == "":
-        output = os.path.join(args.out_dir, output)
+        output = _out_path(args, output)
     _atomic_write(output, [svg])
     print(f"wrote {output}")
     return 0
@@ -239,11 +240,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = run_end_to_end(data, cfg)
-    json_path = os.path.join(args.out_dir, "report.json")
+    json_path = _out_path(args, "report.json")
     _atomic_write(json_path, [report_to_json(result)])
     sys.stdout.write(report_to_text(result))
     print(f"wrote {json_path}")
     return 0 if result.report.hit_rate == 1.0 else 3
+
+
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    """``name`` inside ``--out-dir``, which is created here, once a command
+    has a file to write."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
+        )
+    return value
 
 
 def _add_out_dir(parser: argparse.ArgumentParser) -> None:
@@ -331,7 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the five-variable sprinkler walkthrough",
     )
     p_demo.add_argument(
-        "--seed", type=int, default=0, help="sampling seed (default: 0)"
+        "--seed",
+        type=_non_negative_int,
+        default=0,
+        help="sampling seed, at least 0 (default: 0)",
     )
     p_demo.add_argument(
         "--flip-knowledge",
@@ -363,8 +386,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        if hasattr(args, "out_dir"):
-            os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

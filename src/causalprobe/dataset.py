@@ -1,8 +1,10 @@
 """Binary 0/1 datasets and their CSV form.
 
 A BinaryDataset is a dense uint8 matrix whose cells are all 0 or 1, with
-one name per column. ``read_csv`` checks every cell as it reads and reports
-the exact offending one.
+one name per column. ``read_csv`` reads a file in the plain form
+``write_csv`` writes in one numpy pass over its bytes; quoted or CRLF files,
+and any file it would reject, go through ``csv.reader``, which checks every
+cell and reports the exact offending one.
 """
 
 from __future__ import annotations
@@ -80,22 +82,72 @@ class BinaryDataset:
 def read_csv(path: str) -> BinaryDataset:
     """Read a comma-separated file with a header row and 0/1 cells.
 
-    A UTF-8 byte order mark before the header is skipped. A ragged row, or
-    a cell other than "0" or "1", raises DataError naming the file, the
-    row and the column.
+    A UTF-8 byte order mark before the header is skipped. A file in the
+    form ``write_csv`` writes is read in one numpy pass, any other one
+    (quoted fields, CRLF endings, no final newline) by ``csv.reader``.
+    Text that is not UTF-8, a ragged row, or a cell other than "0" or "1",
+    raises DataError naming the file and the line, or the row and column.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-                rows = list(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            except csv.Error as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}:{line}: not UTF-8 text (byte {exc.object[exc.start]:#04x})"
+        ) from None
+    data = _read_plain(raw, text)
+    return data if data is not None else _read_rows(path, text)
+
+
+def _read_plain(raw: bytes, text: str) -> BinaryDataset | None:
+    """The dataset of a plain file, else None, leaving every error to
+    ``_read_rows``.
+
+    Plain means: no quote or CR byte anywhere, a non-empty header line, and
+    a body that, viewed as a (rows, 2k) byte grid for k names, has a 0 or 1
+    at every even position, a comma at every odd one but the last, and a
+    newline at the last. ``csv.reader`` reads such a file the same way.
+    """
+    end = text.find("\n")
+    header = text[:end]
+    if (
+        end <= 0
+        or b'"' in raw
+        or b"\r" in raw
+        # csv.reader refuses a longer field, and NUL before Python 3.11.
+        or len(header) > csv.field_size_limit()
+        or "\0" in header
+    ):
+        return None
+    names = header.split(",")
+    grid = np.frombuffer(raw, np.uint8, offset=raw.index(b"\n") + 1)
+    if grid.size % (2 * len(names)):
+        return None
+    grid = grid.reshape(-1, 2 * len(names))
+    if (grid[:, 1:-1:2] != ord(",")).any() or (grid[:, -1] != ord("\n")).any():
+        return None
+    try:
+        # A byte below "0" wraps around, so any cell but 0 or 1 is > 1.
+        return BinaryDataset(names, grid[:, ::2] - np.uint8(ord("0")))
+    except DataError:  # a bad cell, or a header _check_columns refuses
+        return None
+
+
+def _read_rows(path: str, text: str) -> BinaryDataset:
+    """``read_csv`` on any decoded text, through ``csv.reader``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        rows = list(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     try:
         cols = _check_columns(header)
         for r, row in enumerate(rows):

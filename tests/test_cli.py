@@ -469,11 +469,13 @@ class TestAggregate:
         # CSV rows carry no graph text, so the listing omits those blocks.
         records = [make_record(run_index=4, hit_rate=1.0, abs_err=0.3)]
         path = self.seed_runs(tmp_path, records)
-        rc = main(["aggregate", path, "--outliers"])
+        out_dir = tmp_path / "newdir"
+        rc = main(["aggregate", path, "--outliers", "--out-dir", str(out_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "run 4:" in out
         assert "true graph:" not in out
+        assert not out_dir.exists()  # the listing writes no file
 
 
 class TestPlot:
@@ -623,6 +625,16 @@ class TestDemoSprinkler:
         assert main(["demo-sprinkler"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["demo-sprinkler", "--seed", "-1"]) == 2
+        assert "argument --seed: must be a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+        # simulate masks its master seed to 64 bits, so -1 is a seed there.
+        argv = ["simulate", "--seed", "-1", "--n", "3", "--runs", "1",
+                "--threads", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_flipped_knowledge_fails_a_probe(self, capsys):
         rc = main(["demo-sprinkler", "--flip-knowledge"])

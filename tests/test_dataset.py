@@ -62,6 +62,40 @@ class TestReadCsv:
         assert marked.columns == ("season", "rain")
         assert marked == plain
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\r\n0,1\r\n1,0\r\n",
+            '"a","b"\n0,1\n1,0\n',
+            'a,b\n"0",1\n1,"0"\n',
+            "a,b\n0,1\n1,0",
+        ],
+        ids=["crlf", "quoted-header", "quoted-cells", "no-final-newline"],
+    )
+    def test_other_forms_read_like_their_plain_twin(self, tmp_path, text):
+        plain = read_csv(write_text(tmp_path, "a,b\n0,1\n1,0\n", "plain.csv"))
+        assert read_csv(write_text(tmp_path, text)) == plain
+
+    def test_plain_file_is_read_without_csv_reader(self, tmp_path, monkeypatch):
+        def no_csv_reader(path, text):
+            raise AssertionError("plain file sent to csv.reader")
+
+        monkeypatch.setattr(dataset, "_read_rows", no_csv_reader)
+        d = read_csv(write_text(tmp_path, "a,b\n0,1\n1,1\n"))
+        assert d == BinaryDataset(["a", "b"], np.array([[0, 1], [1, 1]]))
+        assert not d.values.flags.writeable
+        with pytest.raises(ValueError):
+            d.values[0, 0] = 1
+
+    def test_non_utf8_text_names_file_and_line(self, tmp_path):
+        p = str(tmp_path / "latin1.csv")
+        with open(p, "wb") as fh:
+            fh.write(b"\xef\xbb\xbfa,b\n0,1\n0,\xff\n")
+        with pytest.raises(
+            DataError, match=rf"^{re.escape(p)}:3: not UTF-8 text"
+        ):
+            read_csv(p)
+
 
 class TestToBinary:
     """read_csv turns the text cells "0" and "1" into the uint8 matrix."""

@@ -3,15 +3,17 @@ dense reference tables, networks, knowledge-constrained searches and text
 formats against direct reference computations."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from causalprobe import bayesnet
+from causalprobe import bayesnet, dataset
 from causalprobe.bayesnet import Cbn, random_cpds, sample, true_ate
-from causalprobe.dataset import state_index
+from causalprobe.dataset import read_csv, state_index
 from causalprobe.discovery import (
     Knowledge,
     _apply_knowledge_orientations,
@@ -25,6 +27,7 @@ from causalprobe.discovery import (
     parse_knowledge,
     pick_hint_edges,
 )
+from causalprobe.errors import DataError
 from causalprobe.graph import Dag, from_text, to_text
 from causalprobe.probing import (
     GreaterThan,
@@ -81,6 +84,58 @@ def test_state_index_reads_each_row_as_binary(values):
     assert got.dtype == np.int64
     want = [int("".join(map(str, row)) or "0", 2) for row in values]
     assert got.tolist() == want
+
+
+# Every byte class the two read_csv paths treat differently.
+csv_chars = st.sampled_from(list('01ab,\n\r" \ufeff\x00é'))
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV file: 1-4 header names, then 0-6 rows of 0-6 cells.
+    Names, cells and row widths are each drawn clean, as write_csv writes
+    them, in three files of four, and otherwise with stray characters from
+    ``csv_chars``."""
+
+    def clean_or_not(clean, stray):
+        return draw(st.sampled_from([clean] * 3 + [st.one_of(clean, stray)]))
+
+    name = clean_or_not(
+        st.text("abé", min_size=1, max_size=3), st.text(csv_chars, max_size=3)
+    )
+    names = draw(st.lists(name, min_size=1, max_size=4))
+    cell = clean_or_not(st.sampled_from("01"), st.text(csv_chars, max_size=2))
+    width = clean_or_not(st.just(len(names)), st.integers(0, 6))
+    row = width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k))
+    rows = draw(st.lists(row, max_size=6))
+    text = "\n".join(",".join(line) for line in [names, *rows])
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + text + draw(st.sampled_from(["\n", "\n", ""]))
+
+
+def _dataset_or_message(read):
+    try:
+        return read()
+    except DataError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(csv_files())
+@example("a\rb\n0\n")  # a CR in the header alone
+@example("a,b\n0\n1\n")  # two short rows with the length of one full row
+@example("a" * 131_073 + "\n0\n")  # a name beyond csv's field limit
+@example("a\x00\n0\n")  # csv refuses NUL before Python 3.11
+def test_read_csv_reads_every_file_as_csv_reader_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = _dataset_or_message(lambda: read_csv(path))
+        decoded = text.encode().decode("utf-8-sig")
+        want = _dataset_or_message(lambda: dataset._read_rows(path, decoded))
+    assert type(got) is type(want)
+    assert got == want
 
 
 @st.composite

@@ -6,17 +6,21 @@ The commands run the ``causalprobe`` command line from this checkout's
 ``src`` in one temporary directory: five simulation studies, each with
 ``--threads 1`` and ``--threads 2``; ``aggregate``, ``aggregate --outliers``
 and the three ``plot`` kinds on the default study; ``analyze`` on the
-sprinkler data with the probe and knowledge files from the README; and
-``demo-sprinkler`` with and without ``--flip-knowledge``. Each output file
-and each command's stdout gets one ``<sha256>  <name>`` line; a stdout digest
-also covers the exit code.
+sprinkler data with the probe and knowledge files from the README, once on
+the file ``write_csv`` writes and once (``analyze-crlf``) on the same data
+with CRLF line endings and a quoted header, which ``read_csv`` parses with
+``csv.reader`` instead of its plain-form pass; and ``demo-sprinkler`` with
+and without ``--flip-knowledge``. Each output file and each command's stdout
+gets one ``<sha256>  <name>`` line; a stdout digest also covers the exit
+code.
 
 Run it at two commits and diff the two listings: an empty diff means the
 change kept every output byte-identical. No digest is pinned here, because
 BLAS builds move the last bits of least-squares estimates between hosts.
 
 Exits 1 when a ``--threads 2`` study wrote different bytes from its
-``--threads 1`` twin, and 2 when a command fails.
+``--threads 1`` twin or ``analyze-crlf`` wrote a different ``report.json``
+from ``analyze``, and 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -89,8 +93,30 @@ def _step(root: Path, name: str, code: str, *args: str) -> dict[str, bytes]:
     return out
 
 
+def _analyze(cwd: Path, data: bytes | None) -> dict[str, bytes]:
+    """Run the README's ``analyze`` in ``cwd`` on ``data``, or on freshly
+    written sprinkler data when ``data`` is None."""
+    cwd.mkdir()
+    if data is None:
+        _python(cwd, MAKE_DATA)
+    else:
+        (cwd / "data.csv").write_bytes(data)
+    (cwd / "probes.txt").write_text(README_PROBES)
+    (cwd / "knowledge.txt").write_text(README_KNOWLEDGE)
+    out = {
+        f"{cwd.name}/stdout": _python(
+            cwd, RUN_CLI, "analyze", "data.csv", "--knowledge", "knowledge.txt",
+            "--probes", "probes.txt", "--target", "sprinkler,slippery", "--out-dir", ".",
+        )
+    }
+    for name in ("data.csv", "report.json"):
+        out[f"{cwd.name}/{name}"] = (cwd / name).read_bytes()
+    return out
+
+
 def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
-    """Every output by name, and the studies whose thread counts disagree."""
+    """Every output by name, and a message for each pair of outputs that
+    should agree and does not."""
     outputs: dict[str, bytes] = {}
     mismatched = []
     for study, flags in STUDIES.items():
@@ -103,7 +129,7 @@ def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
             twins.append([data for _, data in sorted(got.items())])
             outputs.update(got)
         if twins[0] != twins[1]:
-            mismatched.append(study)
+            mismatched.append(f"study {study!r} differs between --threads 1 and 2")
     runs = "../simulate-defaults-t1/runs.csv"
     outputs.update(_step(root, "aggregate", RUN_CLI, "aggregate", runs, "--out-dir", "."))
     outputs.update(_step(root, "outliers", RUN_CLI, "aggregate", runs, "--outliers"))
@@ -117,17 +143,13 @@ def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
                 "--y", y, "--output", "plot.svg", "--out-dir", ".",
             )
         )
-    analyze = root / "analyze"
-    analyze.mkdir()
-    _python(analyze, MAKE_DATA)
-    (analyze / "probes.txt").write_text(README_PROBES)
-    (analyze / "knowledge.txt").write_text(README_KNOWLEDGE)
-    outputs["analyze/stdout"] = _python(
-        analyze, RUN_CLI, "analyze", "data.csv", "--knowledge", "knowledge.txt",
-        "--probes", "probes.txt", "--target", "sprinkler,slippery", "--out-dir", ".",
-    )
-    for name in ("data.csv", "report.json"):
-        outputs[f"analyze/{name}"] = (analyze / name).read_bytes()
+    outputs.update(_analyze(root / "analyze", None))
+    header, body = outputs["analyze/data.csv"].split(b"\n", 1)
+    quoted = b",".join(b'"' + name + b'"' for name in header.split(b","))
+    crlf = (quoted + b"\n" + body).replace(b"\n", b"\r\n")
+    outputs.update(_analyze(root / "analyze-crlf", crlf))
+    if outputs["analyze-crlf/report.json"] != outputs["analyze/report.json"]:
+        mismatched.append("analyze-crlf wrote a different report.json from analyze")
     outputs.update(_step(root, "demo", RUN_CLI, "demo-sprinkler"))
     outputs.update(_step(root, "demo-flipped", RUN_CLI, "demo-sprinkler", "--flip-knowledge"))
     return outputs, mismatched
@@ -138,8 +160,8 @@ def main() -> int:
         outputs, mismatched = manifest(Path(tmp))
     for name, data in outputs.items():
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
-    for study in mismatched:
-        print(f"error: study {study!r} differs between --threads 1 and 2", file=sys.stderr)
+    for message in mismatched:
+        print(f"error: {message}", file=sys.stderr)
     return 1 if mismatched else 0
 
 
