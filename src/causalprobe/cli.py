@@ -13,15 +13,17 @@ at least one probe failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
-from .dataset import _atomic_write, read_csv
+from .dataset import _atomic_write, _content_lines, _read_text, read_csv
 from .discovery import Knowledge, parse_knowledge
-from .errors import CausalProbeError, DataError, PipelineError
+from .errors import CausalProbeError, DataError, KnowledgeError, PipelineError
 from .pipeline import AnalysisConfig, report_to_json, report_to_text, run_end_to_end
 from .probing import parse_probes
 from .sim import (
@@ -57,15 +59,22 @@ class UsageError(Exception):
 def parse_config(text: str) -> dict[str, str]:
     """key = value lines; # starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected key = value")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def _parse_file(path: str, parse: Callable, error: type[Exception]):
+    """``parse`` applied to the text of ``path``; a parse error is raised
+    again as ``error``, naming the file."""
+    text = _read_text(path)[1]
+    try:
+        return parse(text)
+    except (DataError, KnowledgeError) as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimParams)}
@@ -74,12 +83,7 @@ _PARAM_FIELDS = {f.name: f.type for f in dataclasses.fields(SimParams)}
 def _params_from(args: argparse.Namespace) -> SimParams:
     values: dict = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            body = fh.read()
-        try:
-            raw = parse_config(body)
-        except DataError as exc:
-            raise UsageError(f"{args.config}: {exc}") from exc
+        raw = _parse_file(args.config, parse_config, UsageError)
         for key, text in raw.items():
             if key not in _PARAM_FIELDS:
                 raise UsageError(f"unknown config key {key!r}")
@@ -164,12 +168,17 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _load_plot_table(path: str) -> tuple[list[RunRecord], list[AggRow]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-    if header == ",".join(RUNS_CSV_COLUMNS):
+    # The header as csv.reader reads it, so that any file aggregate reads
+    # (CRLF endings, quoted names) plots too.
+    rows = csv.reader(io.StringIO(_read_text(path)[1], newline=""))
+    try:
+        header = tuple(next(rows, ()))
+    except csv.Error:
+        header = ()
+    if header == RUNS_CSV_COLUMNS:
         records = [r for r in read_runs_csv(path) if not r.failed]
         return records, aggregate(records) if records else []
-    if header == ",".join(AGG_CSV_COLUMNS):
+    if header == AGG_CSV_COLUMNS:
         return [], read_agg_csv(path)
     raise DataError(f"{path}: neither a runs.csv nor an agg.csv header")
 
@@ -220,15 +229,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     data = read_csv(args.data_csv)
 
-    with open(args.probes, "r", encoding="utf-8") as fh:
-        probe_specs = parse_probes(fh.read())
+    probe_specs = _parse_file(args.probes, parse_probes, DataError)
     if not probe_specs:
         raise UsageError(f"{args.probes}: no probes defined")
 
     knowledge = Knowledge()
     if args.knowledge is not None:
-        with open(args.knowledge, "r", encoding="utf-8") as fh:
-            knowledge = parse_knowledge(fh.read())
+        knowledge = _parse_file(args.knowledge, parse_knowledge, KnowledgeError)
 
     try:
         cfg = AnalysisConfig(

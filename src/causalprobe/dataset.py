@@ -4,7 +4,8 @@ A BinaryDataset is a dense uint8 matrix whose cells are all 0 or 1, with
 one name per column. ``read_csv`` reads a file in the plain form
 ``write_csv`` writes in one numpy pass over its bytes; quoted or CRLF files,
 and any file it would reject, go through ``csv.reader``, which checks every
-cell and reports the exact offending one.
+cell and reports the exact offending one. Every input file of the package
+is read by ``_read_text``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,32 @@ class BinaryDataset:
         return f"BinaryDataset({self.n_rows} rows, columns={list(self.columns)})"
 
 
+def _read_text(path: str) -> tuple[bytes, str]:
+    """The bytes of an input file and their UTF-8 text, a leading byte order
+    mark skipped; DataError names the file, and the line of a bad byte."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw, raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(
+            f"{path}:{line}: not UTF-8 text (byte {exc.object[exc.start]:#04x})"
+        ) from None
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line not left empty once its ``#``
+    comment and surrounding whitespace are removed."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_csv(path: str) -> BinaryDataset:
     """Read a comma-separated file with a header row and 0/1 cells.
 
@@ -88,18 +115,7 @@ def read_csv(path: str) -> BinaryDataset:
     Text that is not UTF-8, a ragged row, or a cell other than "0" or "1",
     raises DataError naming the file and the line, or the row and column.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(
-            f"{path}:{line}: not UTF-8 text (byte {exc.object[exc.start]:#04x})"
-        ) from None
+    raw, text = _read_text(path)
     data = _read_plain(raw, text)
     return data if data is not None else _read_rows(path, text)
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import BinaryDataset, state_index
+from .dataset import BinaryDataset, _content_lines, state_index
 from .errors import CapacityError, DataError, KnowledgeError, OrientationError
 from .graph import Dag, _check_labels
 
@@ -81,15 +81,12 @@ def parse_knowledge(text: str) -> Knowledge:
     """Parse lines of `require a -> b` and `forbid a -> b`; `#` starts a comment."""
     required = []
     forbidden = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split(None, 1)
         if len(fields) != 2 or "->" not in fields[1]:
             raise KnowledgeError(
                 f"line {lineno}: expected 'require a -> b' or 'forbid a -> b', "
-                f"got {raw.strip()!r}"
+                f"got {line!r}"
             )
         verb, rest = fields
         left, right = rest.split("->", 1)
@@ -439,10 +436,9 @@ def _blocks_semi_directed(
     return True
 
 
-def _insertions(views, scorer: _Scorer, required: set, forbidden: set):
+def _insertions(views, scorer: _Scorer, forbidden: set):
     """Insert x -> y, orienting the undirected t - y edges (t a subset of y's
-    neighbours not adjacent to x) into y: yields (gain, (x, y, t)).
-    ``required`` is unused; it keeps the signature of :func:`_deletions`."""
+    neighbours not adjacent to x) into y: yields (gain, (x, y, t))."""
     adj, und_nb, children, parents = views
     n = len(adj)
     for x in range(n):
@@ -555,11 +551,14 @@ def ges(
     # sort on the gain keeps enumeration order among ties. Knowledge
     # orientations make the working pattern a general PDAG, so a move that
     # scores well can still fail to rebuild; such moves are skipped.
-    for moves, apply in ((_insertions, _insert), (_deletions, _delete)):
+    phases = (
+        (lambda views: _insertions(views, scorer, forbidden), _insert),
+        (lambda views: _deletions(views, scorer, required, forbidden), _delete),
+    )
+    for moves, apply in phases:
         while True:
-            views = _views(n, directed, undirected)
             ranked = sorted(
-                moves(views, scorer, required, forbidden), key=lambda mv: -mv[0]
+                moves(_views(n, directed, undirected)), key=lambda mv: -mv[0]
             )
             for _, move in ranked:
                 d_try, u_try = apply(directed, undirected, move)

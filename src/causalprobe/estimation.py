@@ -8,7 +8,6 @@ the treatment coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,29 +54,6 @@ def adjustment_set(graph: Dag, treatment: str, outcome: str) -> frozenset[str]:
     return frozenset(graph.labels[p] for p in graph.parents(t))
 
 
-def ols(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients; minimum-norm when the design is rank
-    deficient. Deterministic."""
-    design = np.asarray(design, dtype=np.float64)
-    response = np.asarray(response, dtype=np.float64)
-    if design.ndim != 2:
-        raise ValueError("design matrix must be 2-d")
-    if response.ndim != 1 or response.shape[0] != design.shape[0]:
-        raise ValueError(
-            f"response length {response.shape} does not match "
-            f"{design.shape[0]} design rows"
-        )
-    if design.shape[0] < 1:
-        raise ValueError("need at least one row")
-    coef, _, _, _ = np.linalg.lstsq(design, response, rcond=None)
-    return coef
-
-
-def _require_columns(data: BinaryDataset, names: Sequence[str]) -> None:
-    for name in names:
-        data.column_index(name)
-
-
 def estimate_ate_linear(
     data: BinaryDataset, graph: Dag, treatment: str, outcome: str
 ) -> AteEstimate:
@@ -96,13 +72,15 @@ def estimate_ate_linear(
     if not graph.has_directed_path(t, o):
         return AteEstimate(treatment, outcome, 0.0, METHOD_TRIVIAL_ZERO)
     adjust = sorted(adjustment_set(graph, treatment, outcome))
-    _require_columns(data, [treatment, outcome, *adjust])
     m = data.n_rows
+    if m < 1:
+        raise ValueError("need at least one row")
     design = np.ones((m, 2 + len(adjust)), dtype=np.float64)
     design[:, 1] = data.column(treatment)
     for j, name in enumerate(adjust):
         design[:, 2 + j] = data.column(name)
-    coef = ols(design, data.column(outcome).astype(np.float64))
+    response = data.column(outcome).astype(np.float64)
+    coef = np.linalg.lstsq(design, response, rcond=None)[0]
     return AteEstimate(
         treatment, outcome, float(coef[1]), METHOD_LINEAR, tuple(adjust)
     )

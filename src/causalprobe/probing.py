@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from .dataset import _content_lines
 from .errors import DataError
 from .estimation import AteEstimate
 from .graph import _check_labels
@@ -238,10 +239,7 @@ def parse_probes(text: str) -> tuple[ProbeSpec, ...]:
     `nonzero margin`. `#` starts a comment.
     """
     specs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split(None, 1)
         if fields[0] != "probe" or len(fields) != 2:
             raise DataError(f"line {lineno}: expected 'probe t -> o expect ...'")

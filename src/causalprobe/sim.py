@@ -11,6 +11,7 @@ and parallelizes without affecting its output.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bayesnet import Cbn, random_cpds, sample, true_ate
-from .dataset import _atomic_write, _csv_lines
+from .dataset import _atomic_write, _csv_lines, _read_text
 from .discovery import pick_hint_edges
 from .errors import (
     DataError,
@@ -513,24 +514,23 @@ def _read_table(path: str, cls: type, columns: tuple[str, ...], what: str) -> li
     each column is parsed as the type its field declares."""
     kinds = {f.name: f.type for f in fields(cls)}
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if tuple(next(reader, ())) != columns:
-                raise DataError(f"{path}: not {what} file")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(columns):
-                    raise DataError(f"{where}: ragged row {row!r}")
-                try:
-                    out.append(cls(**{
-                        c: _parse_cell(kinds[c], c, text)
-                        for c, text in zip(columns, row)
-                    }))
-                except (DataError, ValueError) as exc:
-                    raise DataError(f"{where}: bad record: {exc}") from exc
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    reader = csv.reader(io.StringIO(_read_text(path)[1], newline=""))
+    try:
+        if tuple(next(reader, ())) != columns:
+            raise DataError(f"{path}: not {what} file")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(columns):
+                raise DataError(f"{where}: ragged row {row!r}")
+            try:
+                out.append(cls(**{
+                    c: _parse_cell(kinds[c], c, text)
+                    for c, text in zip(columns, row)
+                }))
+            except (DataError, ValueError) as exc:
+                raise DataError(f"{where}: bad record: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
 
 
@@ -566,11 +566,12 @@ def _record_to_dict(r: RunRecord) -> dict:
     return d
 
 
-def _probe_from_json(p) -> ProbeDetail:
-    # A row in field order; files written before rows were used hold objects.
-    if isinstance(p, list):
-        p = dict(zip(_PROBE_FIELDS, p, strict=True))
-    return ProbeDetail(**_null_to_nan(p, _PROBE_FLOATS))
+def _probe_from_json(row: list) -> ProbeDetail:
+    """A probe from its row, in field order."""
+    if not isinstance(row, list):
+        raise TypeError(f"a probe must be a row, got {type(row).__name__}")
+    d = dict(zip(_PROBE_FIELDS, row, strict=True))
+    return ProbeDetail(**_null_to_nan(d, _PROBE_FLOATS))
 
 
 def _record_from_dict(d: dict) -> RunRecord:
@@ -600,15 +601,14 @@ def write_runs_jsonl(path: str, records: Sequence[RunRecord]) -> None:
 
 def read_runs_jsonl(path: str) -> list[RunRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(_record_from_dict(json.loads(line)))
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad record: {exc}") from exc
+    for lineno, line in enumerate(_read_text(path)[1].split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(_record_from_dict(json.loads(line)))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad record: {exc}") from exc
     return records
 
 

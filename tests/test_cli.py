@@ -3,17 +3,21 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from causalprobe import __version__, pipeline
 from causalprobe.cli import main, parse_config
 from causalprobe.dataset import write_csv
+from causalprobe.errors import DataError
 from causalprobe.sim import (
     RUNS_CSV_COLUMNS,
     RunRecord,
     read_agg_csv,
     read_runs_csv,
+    read_runs_jsonl,
     write_runs_csv,
     write_runs_jsonl,
 )
@@ -592,6 +596,25 @@ class TestPlot:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("form", ["crlf", "quoted-header"])
+    def test_any_table_aggregate_reads_also_plots(self, tmp_path, capsys, form):
+        runs, agg = seed_plot_files(tmp_path)
+        for src, kind in ((runs, "scatter"), (agg, "means")):
+            header, body = Path(src).read_text(encoding="utf-8").split("\n", 1)
+            if form == "crlf":
+                text = (header + "\n" + body).replace("\n", "\r\n")
+            else:
+                text = ",".join(f'"{c}"' for c in header.split(",")) + "\n" + body
+            twin = tmp_path / f"{form}-{os.path.basename(src)}"
+            twin.write_bytes(text.encode())
+            svgs = []
+            for path in (src, str(twin)):
+                out = tmp_path / "p.svg"
+                assert main(["plot", path, "--kind", kind, "--output", str(out)]) == 0
+                svgs.append(out.read_bytes())
+            assert svgs[0] == svgs[1]
+        capsys.readouterr()
+
     def test_bare_output_name_lands_in_out_dir(self, tmp_path, capsys):
         runs, _ = seed_plot_files(tmp_path)
         rc = main(
@@ -609,6 +632,109 @@ class TestPlot:
         assert rc == 0
         capsys.readouterr()
         assert (tmp_path / "h.svg").exists()
+
+
+BOM = b"\xef\xbb\xbf"
+
+# Each input file a command reads: (file, argv, output file or None when the
+# command writes only to stdout). Paths are relative to the input directory.
+READERS = {
+    "data": ("data.csv", ["analyze", "data.csv", "--probes", "probes.txt",
+                          "--target", "sprinkler,slippery"], "report.json"),
+    "probes": ("probes.txt", ["analyze", "data.csv", "--probes", "probes.txt",
+                              "--target", "sprinkler,slippery"], "report.json"),
+    "knowledge": ("knowledge.txt", ["analyze", "data.csv", "--knowledge",
+                                    "knowledge.txt", "--probes", "probes.txt",
+                                    "--target", "sprinkler,slippery"],
+                  "report.json"),
+    "config": ("study.cfg", ["simulate", "--config", "study.cfg",
+                             "--threads", "1"], "runs.csv"),
+    "runs-csv": ("runs.csv", ["aggregate", "runs.csv"], "agg.csv"),
+    "runs-jsonl": ("runs.jsonl", ["aggregate", "runs.csv", "--outliers"], None),
+    "plot-runs": ("runs.csv", ["plot", "runs.csv", "--kind", "scatter"],
+                  "plot.svg"),
+    "plot-agg": ("agg.csv", ["plot", "agg.csv", "--kind", "means"],
+                 "plot.svg"),
+}
+
+
+class TestInputFiles:
+    """Every input file is UTF-8 with an optional byte order mark, and a
+    read or parse error names the file."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv(sprinkler_data(m=500, seed=1), str(tmp_path / "data.csv"))
+        (tmp_path / "probes.txt").write_text(
+            "probe sprinkler -> wet expect > 0\n"
+            "probe wet -> slippery expect > 0\n"
+        )
+        (tmp_path / "knowledge.txt").write_text(
+            "require sprinkler -> wet\nforbid season -> wet\n"
+        )
+        (tmp_path / "study.cfg").write_text("n = 4\nn_runs = 2\n")
+        records = [
+            make_record(run_index=0, hit_rate=1.0, abs_err=0.45,
+                        true_graph="nodes: a, b\na -> b\n"),
+            make_record(run_index=1, hit_rate=0.5, abs_err=0.1),
+        ]
+        write_runs_csv(str(tmp_path / "runs.csv"), records)
+        write_runs_jsonl(str(tmp_path / "runs.jsonl"), records)
+        assert main(["aggregate", str(tmp_path / "runs.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        return tmp_path
+
+    def run(self, reader):
+        return main([*READERS[reader][1], "--out-dir", "out"])
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_bad_byte_names_the_file_and_line(self, inputs, reader, capsys):
+        name = READERS[reader][0]
+        lines = (inputs / name).read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        (inputs / name).write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert self.run(reader) == 1
+        assert f"error: {name}:2: not UTF-8 text (byte 0xff)" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_byte_order_mark_changes_nothing(self, inputs, reader, capsys):
+        name, _, output = READERS[reader]
+        results = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert self.run(reader) in (0, 3)
+            out = inputs / "out" / output if output else None
+            results.append((capsys.readouterr(), out and out.read_bytes()))
+            (inputs / name).write_bytes(BOM + (inputs / name).read_bytes())
+        assert results[0] == results[1]
+
+    def test_the_table_readers_name_a_bad_byte(self, inputs):
+        for read, name in ((read_runs_csv, "runs.csv"),
+                           (read_runs_jsonl, "runs.jsonl"),
+                           (read_agg_csv, "agg.csv")):
+            path = inputs / name
+            path.write_bytes(path.read_bytes() + b"\xff\n")
+            line = path.read_bytes().count(b"\n")
+            with pytest.raises(DataError, match=rf"^{re.escape(str(path))}"
+                               rf":{line}: not UTF-8 text"):
+                read(str(path))
+
+    @pytest.mark.parametrize("reader, text, rc", [
+        ("probes", "probe sprinkler wet expect > 0\n", 1),
+        ("knowledge", "require sprinkler wet\n", 1),
+        ("config", "n 4\n", 2),
+    ])
+    def test_a_parse_error_names_the_file(self, inputs, reader, text, rc, capsys):
+        name = READERS[reader][0]
+        (inputs / name).write_text("# comment\n\n" + text)
+        capsys.readouterr()
+        assert self.run(reader) == rc
+        err = capsys.readouterr().err
+        assert f"error: {name}: " in err and "line 3: " in err
 
 
 class TestDemoSprinkler:

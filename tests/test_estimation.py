@@ -11,7 +11,6 @@ from causalprobe.estimation import (
     METHOD_TRIVIAL_ZERO,
     adjustment_set,
     estimate_ate_linear,
-    ols,
 )
 from causalprobe.graph import Dag, random_dag
 from reference import estimate_ate_stratified
@@ -61,47 +60,62 @@ class TestAdjustmentSet:
 
 
 class TestOls:
-    def test_identity_design(self):
-        got = ols(np.eye(3), np.array([3.0, 1.0, 2.0]))
-        assert np.allclose(got, [3.0, 1.0, 2.0])
-
-    def test_intercept_only_gives_mean(self):
-        got = ols(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 6.0]))
-        assert got[0] == pytest.approx(3.0)
+    """The least-squares fit inside estimate_ate_linear."""
 
     def test_hand_computed_two_regressors(self):
-        # X = [[1,0],[1,1],[1,2]], y = [1,2,4]; normal equations give
-        # beta = (5/6, 3/2).
-        x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        y = np.array([1.0, 2.0, 4.0])
-        got = ols(x, y)
-        assert got == pytest.approx([5 / 6, 1.5], abs=1e-12)
+        # Rows (z, t, o); the design is [1, t, z]. The normal equations
+        # X'X = [[6, 3, 3], [3, 3, 2], [3, 2, 3]], X'y = [3, 2, 2] give
+        # beta = (1/4, 1/4, 1/4); the unadjusted difference of means is 1/3.
+        g = Dag(["z", "t", "o"], [(0, 1), (0, 2), (1, 2)])
+        rows = [[0, 0, 0], [0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [1, 1, 0]]
+        est = estimate_ate_linear(BinaryDataset(["z", "t", "o"], rows), g, "t", "o")
+        assert est.adjustment == ("z",)
+        assert est.value == pytest.approx(0.25, abs=1e-12)
 
     def test_rank_deficient_minimum_norm(self):
-        # Duplicate columns: solutions satisfy b1 + b2 = 2; minimum norm
-        # picks (1, 1).
-        x = np.array([[1.0, 1.0], [1.0, 1.0]])
-        y = np.array([2.0, 2.0])
-        got = ols(x, y)
-        assert got == pytest.approx([1.0, 1.0], abs=1e-12)
+        # z is always 1, so its column duplicates the intercept. Only the
+        # split between those two is not identified; the minimum-norm
+        # solution puts the treatment coefficient at the difference of
+        # means, 1 - 1/2.
+        g = Dag(["z", "t", "o"], [(0, 1), (0, 2), (1, 2)])
+        rows = [[1, 0, 0], [1, 0, 1], [1, 1, 1], [1, 1, 1]]
+        est = estimate_ate_linear(BinaryDataset(["z", "t", "o"], rows), g, "t", "o")
+        assert est.method == METHOD_LINEAR
+        assert est.adjustment == ("z",)
+        assert est.value == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_rows_rejected(self):
+        g = Dag(["t", "o"], [(0, 1)])
+        d = BinaryDataset(["t", "o"], np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one row"):
+            estimate_ate_linear(d, g, "t", "o")
 
     def test_residual_orthogonality(self):
+        # Given the estimated treatment coefficient, fit the intercept and
+        # the parents' coefficients; the residual of that full fit is then
+        # orthogonal to every design column, the treatment's included.
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            rows = int(rng.integers(3, 30))
-            cols = int(rng.integers(1, 6))
-            x = rng.normal(size=(rows, cols))
-            if rng.random() < 0.3 and cols >= 2:
-                x[:, -1] = x[:, 0]  # force rank deficiency sometimes
-            y = rng.normal(size=rows)
-            beta = ols(x, y)
-            assert np.abs(x.T @ (y - x @ beta)).max() < 1e-8
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ols(np.ones((3, 2)), np.ones(4))
-        with pytest.raises(ValueError):
-            ols(np.ones(3), np.ones(3))
+        checked = 0
+        for _ in range(40):
+            g = random_dag(4, 0.5, rng)
+            pairs = [(a, b) for a in range(4) for b in range(4)
+                     if a != b and g.has_directed_path(a, b)]
+            if not pairs:
+                continue
+            a, b = pairs[int(rng.integers(len(pairs)))]
+            t, o = g.labels[a], g.labels[b]
+            rows = int(rng.integers(5, 40))
+            d = BinaryDataset(g.labels, rng.integers(0, 2, size=(rows, 4)))
+            est = estimate_ate_linear(d, g, t, o)
+            x = np.column_stack(
+                [np.ones(rows), *(d.column(p) for p in est.adjustment)]
+            )
+            y = d.column(o) - est.value * d.column(t)
+            resid = y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+            design = np.column_stack([d.column(t), x])
+            assert np.abs(design.T @ resid).max() < 1e-8
+            checked += 1
+        assert checked >= 20
 
 
 class TestLinearEstimator:

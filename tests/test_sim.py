@@ -679,7 +679,7 @@ class TestJsonlIo:
         write_runs_jsonl(path, [rec])
         assert read_runs_jsonl(path)[0].probes == rec.probes
 
-    def test_probes_are_rows_and_the_object_form_still_reads(self, tmp_path):
+    def test_probes_are_rows(self, tmp_path):
         rec = make_record(
             probes=(
                 ProbeDetail("x0", "x2", 0.3, 0.35, True),
@@ -694,18 +694,29 @@ class TestJsonlIo:
             line = fh.read()
         assert '"probes":[["x0","x2",0.3,0.35,true],["x1","x2",0.0,null,false]]' in line
         assert ", " not in line and '": ' not in line
-        doc = json.loads(line)
-        doc["probes"] = [
-            dict(zip(("treatment", "outcome", "truth", "estimate", "passed"), p))
-            for p in doc["probes"]
-        ]
-        old = str(tmp_path / "objects.jsonl")
-        with open(old, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        back = read_runs_jsonl(old)[0]
+        back = read_runs_jsonl(path)[0]
         assert back.probes[0] == rec.probes[0]
         assert math.isnan(back.probes[1].estimate)
-        assert read_runs_jsonl(path)[0].probes[0] == rec.probes[0]
+
+    def test_probe_object_rejected(self, tmp_path):
+        # The keyed-object probe form of earlier versions no longer reads.
+        rec = make_record(
+            probes=(ProbeDetail("x0", "x2", 0.3, 0.35, True),), n_probes=1
+        )
+        path = str(tmp_path / "runs.jsonl")
+        write_runs_jsonl(path, [rec, rec])
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        doc = json.loads(lines[1])
+        keys = ("treatment", "outcome", "truth", "estimate", "passed")
+        doc["probes"] = [dict(zip(keys, p)) for p in doc["probes"]]
+        lines[1] = json.dumps(doc, sort_keys=True) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(
+            DataError, match=rf"^{re.escape(path)}:2: bad record: a probe must be a row"
+        ):
+            read_runs_jsonl(path)
 
     def test_probe_row_of_the_wrong_length_rejected(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")
