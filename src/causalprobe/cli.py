@@ -177,10 +177,14 @@ def _load_plot_table(path: str) -> tuple[list[RunRecord], list[AggRow]]:
         header = ()
     if header == RUNS_CSV_COLUMNS:
         records = [r for r in read_runs_csv(path) if not r.failed]
-        return records, aggregate(records) if records else []
-    if header == AGG_CSV_COLUMNS:
-        return [], read_agg_csv(path)
-    raise DataError(f"{path}: neither a runs.csv nor an agg.csv header")
+        rows = aggregate(records) if records else []
+    elif header == AGG_CSV_COLUMNS:
+        records, rows = [], read_agg_csv(path)
+    else:
+        raise DataError(f"{path}: neither a runs.csv nor an agg.csv header")
+    if not rows:
+        raise DataError(f"{path}: holds no completed run")
+    return records, rows
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -175,7 +175,11 @@ class Cpdag:
 
 
 class _Scorer:
-    """Cached local BIC scores over a binary dataset."""
+    """Cached local BIC scores over a binary dataset.
+
+    A parent set is a bitmask over column indices (bit ``p`` for column
+    ``p``); each node's scores are cached by that mask.
+    """
 
     def __init__(self, data: BinaryDataset, penalty: float):
         if data.n_rows < 1:
@@ -186,20 +190,20 @@ class _Scorer:
         self.m = data.n_rows
         self.log_m = math.log(self.m)
         self.penalty = float(penalty)
-        self.cache: dict[tuple[int, frozenset[int]], float] = {}
+        self.cache: list[dict[int, float]] = [{} for _ in data.columns]
 
-    def local(self, node: int, parents: frozenset[int]) -> float:
-        key = (node, parents)
-        got = self.cache.get(key)
+    def local(self, node: int, parents: int) -> float:
+        cache = self.cache[node]
+        got = cache.get(parents)
         if got is not None:
             return got
-        k = len(parents)
+        k = parents.bit_count()
         if k > MAX_SCORE_PARENTS:
             raise CapacityError(
                 f"scoring with {k} parents exceeds the "
                 f"{MAX_SCORE_PARENTS}-parent limit"
             )
-        columns = [self.values[:, p] for p in sorted(parents)]
+        columns = [self.values[:, p] for p in _bits(parents)]
         idx = state_index([*columns, self.values[:, node]], self.m)
         cnt = np.bincount(idx, minlength=1 << (k + 1))
         n0 = cnt[0::2].astype(np.float64)
@@ -212,15 +216,25 @@ class _Scorer:
         mask = n0 > 0
         ll += float((n0[mask] * np.log(n0[mask] / ns[mask])).sum())
         score = ll - (self.penalty / 2.0) * (1 << k) * self.log_m
-        self.cache[key] = score
+        cache[parents] = score
         return score
 
 
 # ---------------------------------------------------------------------------
 # Pattern machinery: orientation, consistent extension, class computation.
-# Internal helpers operate on mutable sets: directed {(a, b)} and undirected
-# {(low, high)}.
+# A pattern is held as mutable sets: directed {(a, b)} and undirected
+# {(low, high)}. The rules and the search read it through per-node bitmasks
+# (bit v for node v); walking a mask's bits in ascending order keeps the
+# node order the tie-breaks rely on.
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask: int):
+    """The nodes of a bitmask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _und_pair(a: int, b: int) -> tuple[int, int]:
@@ -253,61 +267,74 @@ def _orient(directed: set, undirected: set, a: int, b: int) -> None:
     directed.add((a, b))
 
 
-def _views(n: int, directed: set, undirected: set) -> tuple[list[set[int]], ...]:
-    """Per-node adjacency, undirected neighbours, children and parents."""
-    und_nb: list[set[int]] = [set() for _ in range(n)]
-    children: list[set[int]] = [set() for _ in range(n)]
-    parents: list[set[int]] = [set() for _ in range(n)]
-    for a, b in undirected:
-        und_nb[a].add(b)
-        und_nb[b].add(a)
-    for a, b in directed:
-        children[a].add(b)
-        parents[b].add(a)
-    adj = [und_nb[v] | children[v] | parents[v] for v in range(n)]
-    return adj, und_nb, children, parents
+def _node_masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Per node a, the bitmask of every b with (a, b) in ``pairs``."""
+    masks = [0] * n
+    for a, b in pairs:
+        masks[a] |= 1 << b
+    return masks
 
 
-def _one_meek_step(n: int, directed: set, undirected: set) -> bool:
-    """Apply the first firing orientation rule; True if anything changed.
+def _both_ways(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [e for a, b in pairs for e in ((a, b), (b, a))]
+
+
+def _masks(n: int, directed: set, undirected: set) -> tuple[list[int], ...]:
+    """Per-node bitmasks: adjacents, undirected neighbours, children, parents."""
+    und = _node_masks(n, _both_ways(undirected))
+    children = _node_masks(n, directed)
+    parents = _node_masks(n, ((b, a) for a, b in directed))
+    adj = [und[v] | children[v] | parents[v] for v in range(n)]
+    return adj, und, children, parents
+
+
+def _meek_edge(masks: tuple[list[int], ...]) -> tuple[int, int] | None:
+    """The first undirected edge a - b that an orientation rule directs
+    a -> b, or None when the pattern is closed under the rules.
 
     The rules direct an undirected edge whenever the opposite orientation
     would force a directed cycle or a new unshielded collider in every
     extension of the pattern.
     """
-    adj, und_nb, children, parents = _views(n, directed, undirected)
-
+    adj, und, children, parents = masks
+    n = len(adj)
     # Rule 1: a -> b, b - c, a and c nonadjacent  =>  b -> c
-    for a, b in sorted(directed):
-        for c in sorted(und_nb[b]):
-            if c != a and c not in adj[a]:
-                _orient(directed, undirected, b, c)
-                return True
-    for u, v in sorted(undirected):
-        for a, b in ((u, v), (v, u)):
-            # Rule 2: a -> w -> b, a - b  =>  a -> b
-            if any(w in parents[b] for w in sorted(children[a])):
-                _orient(directed, undirected, a, b)
-                return True
-            # Rule 3: a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
-            shared = sorted(und_nb[a] & parents[b])
-            for c, d in itertools.combinations(shared, 2):
-                if d not in adj[c]:
-                    _orient(directed, undirected, a, b)
-                    return True
-            # Rule 4: a - w, w -> x, x -> b, w and b nonadjacent  =>  a -> b
-            # (otherwise b -> a would either close a cycle through w, x or
-            # build a new collider w -> a <- b)
-            for w in sorted(und_nb[a]):
-                if w != b and b not in adj[w] and children[w] & parents[b]:
-                    _orient(directed, undirected, a, b)
-                    return True
-    return False
+    for a in range(n):
+        for b in _bits(children[a]):
+            free = und[b] & ~adj[a] & ~(1 << a)
+            if free:
+                return b, next(_bits(free))
+    for u in range(n):
+        for v in _bits(und[u] >> (u + 1) << (u + 1)):
+            for a, b in ((u, v), (v, u)):
+                # Rule 2: a -> w -> b, a - b  =>  a -> b
+                if children[a] & parents[b]:
+                    return a, b
+                # Rule 3: a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
+                shared = und[a] & parents[b]
+                if any(shared & ~adj[c] & ~(1 << c) for c in _bits(shared)):
+                    return a, b
+                # Rule 4: a - w, w -> x, x -> b, w and b nonadjacent  =>  a -> b
+                # (otherwise b -> a would either close a cycle through w, x or
+                # build a new collider w -> a <- b)
+                if any(
+                    not adj[w] >> b & 1 and children[w] & parents[b]
+                    for w in _bits(und[a] & ~(1 << b))
+                ):
+                    return a, b
+    return None
 
 
 def _meek_closure(n: int, directed: set, undirected: set) -> None:
-    while _one_meek_step(n, directed, undirected):
-        pass
+    masks = _masks(n, directed, undirected)
+    _, und, children, parents = masks
+    while (edge := _meek_edge(masks)) is not None:
+        a, b = edge
+        _orient(directed, undirected, a, b)
+        und[a] &= ~(1 << b)
+        und[b] &= ~(1 << a)
+        children[a] |= 1 << b
+        parents[b] |= 1 << a
 
 
 def _consistent_extension(n: int, directed: set, undirected: set) -> set:
@@ -319,21 +346,24 @@ def _consistent_extension(n: int, directed: set, undirected: set) -> set:
     Raises OrientationError when no such node exists, meaning the pattern
     admits no consistent extension.
     """
-    adj, und_nb, children, _ = _views(n, directed, undirected)
+    adj, und, children, _ = _masks(n, directed, undirected)
     result = set(directed)
-    alive = set(range(n))
+    alive = (1 << n) - 1
     while alive:
-        for x in sorted(alive):
-            if not children[x] and all(adj[x] - {u} <= adj[u] for u in und_nb[x]):
+        for x in _bits(alive):
+            if not children[x] and all(
+                not adj[x] & ~adj[u] & ~(1 << u) for u in _bits(und[x])
+            ):
                 break
         else:
             raise OrientationError("pattern admits no consistent extension")
-        result.update((u, x) for u in und_nb[x])
-        for v in adj[x]:
-            adj[v].discard(x)
-            und_nb[v].discard(x)
-            children[v].discard(x)
-        alive.discard(x)
+        result.update((u, x) for u in _bits(und[x]))
+        keep = ~(1 << x)
+        for v in _bits(adj[x]):
+            adj[v] &= keep
+            und[v] &= keep
+            children[v] &= keep
+        alive &= keep
     return result
 
 
@@ -409,92 +439,129 @@ def _rebuild(
     return d2, u2
 
 
-def _subsets(items: Sequence[int]):
+def _subsets(mask: int):
+    """Subsets of a bitmask's nodes by size, then lexicographically: yields
+    (nodes as an ascending tuple, their mask)."""
+    items = list(_bits(mask))
     for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+        for nodes in itertools.combinations(items, r):
+            yield nodes, sum(1 << v for v in nodes)
 
 
-def _is_clique(nodes: Iterable[int], adj: list[set[int]]) -> bool:
-    return all(b in adj[a] for a, b in itertools.combinations(nodes, 2))
+def _is_clique(nodes: int, adj: list[int]) -> bool:
+    return all(not (nodes & ~adj[v] & ~(1 << v)) for v in _bits(nodes))
 
 
 def _blocks_semi_directed(
-    y: int, x: int, blocked: set, children: list[set[int]], und_nb: list[set[int]]
+    y: int, x: int, blocked: int, children: list[int], und: list[int]
 ) -> bool:
     """True iff every path y -> .. -> x along directed (forward) or
     undirected edges passes through a blocked node."""
-    seen = {y}
-    stack = [y]
-    while stack:
-        v = stack.pop()
-        for w in itertools.chain(children[v], und_nb[v]):
-            if w == x:
-                return False
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
+    seen = frontier = 1 << y
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= children[v] | und[v]
+        if step >> x & 1:
+            return False
+        frontier = step & ~seen & ~blocked
+        seen |= frontier
     return True
 
 
-def _insertions(views, scorer: _Scorer, forbidden: set):
+# Each phase keeps a memo of move candidates. A pair (x, y)'s candidates,
+# their static filters (forbidden edges, MAX_SCORE_PARENTS) and their gains
+# depend only on the masks in its key: for an insertion y's undirected
+# neighbours, those adjacent to x, and y's parents; for a deletion the
+# common neighbours, those undirected at x, and y's parents. The memo maps
+# the key to the candidates in enumeration order, each [group, subset,
+# base, gain]: the nodes whose validity a step re-checks, the subset the
+# move carries, the parent mask its gain compares with and without x, and
+# that gain once computed. The generators thus yield what a full
+# re-enumeration would, in the same order, but score each candidate once
+# and skip those whose gain is already known to be too small.
+
+
+def _insertions(
+    masks,
+    memo: dict,
+    scorer: _Scorer,
+    forbidden_from: list[int],
+    forbidden_into: list[int],
+):
     """Insert x -> y, orienting the undirected t - y edges (t a subset of y's
     neighbours not adjacent to x) into y: yields (gain, (x, y, t))."""
-    adj, und_nb, children, parents = views
+    adj, und, children, parents = masks
     n = len(adj)
     for x in range(n):
-        for y in range(n):
-            if x == y or y in adj[x] or (x, y) in forbidden:
-                continue
-            na = und_nb[y] & adj[x]
-            for t in _subsets(sorted(und_nb[y] - adj[x])):
-                if any((u, y) in forbidden for u in t):
+        for y in _bits(((1 << n) - 1) & ~(adj[x] | forbidden_from[x] | 1 << x)):
+            na = und[y] & adj[x]
+            key = (x, y, und[y], na, parents[y])
+            candidates = memo.get(key)
+            if candidates is None:
+                candidates = memo[key] = []
+                for t, t_mask in _subsets(und[y] & ~na):
+                    base = parents[y] | na | t_mask
+                    if not t_mask & forbidden_into[y] and (
+                        base.bit_count() + 1 <= MAX_SCORE_PARENTS
+                    ):
+                        candidates.append([na | t_mask, t, base, None])
+            for cand in candidates:
+                group, t, base, gain = cand
+                if gain is not None and gain <= _IMPROVEMENT_TOL:
                     continue
-                group = na | set(t)
                 if not _is_clique(group, adj) or not _blocks_semi_directed(
-                    y, x, group, children, und_nb
+                    y, x, group, children, und
                 ):
                     continue
-                base = parents[y] | group
-                if len(base) + 1 > MAX_SCORE_PARENTS:
-                    continue
-                delta = scorer.local(y, frozenset(base | {x})) - scorer.local(
-                    y, frozenset(base)
-                )
-                if delta > _IMPROVEMENT_TOL:
-                    yield delta, (x, y, t)
+                if gain is None:
+                    gain = cand[3] = scorer.local(y, base | 1 << x) - scorer.local(
+                        y, base
+                    )
+                if gain > _IMPROVEMENT_TOL:
+                    yield gain, (x, y, t)
 
 
-def _deletions(views, scorer: _Scorer, required: set, forbidden: set):
+def _deletions(
+    masks,
+    memo: dict,
+    scorer: _Scorer,
+    required_adj: list[int],
+    forbidden_from: list[int],
+):
     """Delete x - y or x -> y, orienting y -> h and x -> h for each h in a
     subset of the common undirected neighbours: yields
     (gain, (x, y, h, is_dir))."""
-    adj, und_nb, children, parents = views
+    adj, und, children, parents = masks
     n = len(adj)
     for x in range(n):
-        for y in range(n):
-            if x == y or (x, y) in required or (y, x) in required:
-                continue
-            is_dir = y in children[x]
-            if not (is_dir or y in und_nb[x]):
-                continue
-            na = sorted(und_nb[y] & adj[x])
-            for h in _subsets(na):
-                rest = set(na) - set(h)
+        for y in _bits((children[x] | und[x]) & ~required_adj[x]):
+            is_dir = bool(children[x] >> y & 1)
+            na = und[y] & adj[x]
+            key = (x, y, na, und[x] & na, parents[y])
+            candidates = memo.get(key)
+            if candidates is None:
+                candidates = memo[key] = []
+                barred = forbidden_from[y] | (und[x] & forbidden_from[x])
+                for h, h_mask in _subsets(na):
+                    rest = na & ~h_mask
+                    base = (parents[y] & ~(1 << x)) | rest
+                    if not h_mask & barred and (
+                        base.bit_count() + 1 <= MAX_SCORE_PARENTS
+                    ):
+                        candidates.append([rest, h, base, None])
+            for cand in candidates:
+                rest, h, base, gain = cand
+                if gain is not None and gain <= _IMPROVEMENT_TOL:
+                    continue
                 if not _is_clique(rest, adj):
                     continue
-                if any(
-                    (y, u) in forbidden or (u in und_nb[x] and (x, u) in forbidden)
-                    for u in h
-                ):
-                    continue
-                base = (parents[y] - {x}) | rest
-                if len(base) + 1 > MAX_SCORE_PARENTS:
-                    continue
-                delta = scorer.local(y, frozenset(base)) - scorer.local(
-                    y, frozenset(base | {x})
-                )
-                if delta > _IMPROVEMENT_TOL:
-                    yield delta, (x, y, h, is_dir)
+                if gain is None:
+                    gain = cand[3] = scorer.local(y, base) - scorer.local(
+                        y, base | 1 << x
+                    )
+                if gain > _IMPROVEMENT_TOL:
+                    yield gain, (x, y, h, is_dir)
 
 
 def _insert(directed: set, undirected: set, move) -> tuple[set, set]:
@@ -547,18 +614,23 @@ def ges(
         directed, undirected = _rebuild(
             labels, directed, undirected, required, forbidden
         )
+    forbidden_from = _node_masks(n, forbidden)
+    forbidden_into = _node_masks(n, ((b, a) for a, b in forbidden))
+    required_adj = _node_masks(n, _both_ways(required))
     # Each phase takes the best move that rebuilds until none does. A stable
     # sort on the gain keeps enumeration order among ties. Knowledge
     # orientations make the working pattern a general PDAG, so a move that
     # scores well can still fail to rebuild; such moves are skipped.
     phases = (
-        (lambda views: _insertions(views, scorer, forbidden), _insert),
-        (lambda views: _deletions(views, scorer, required, forbidden), _delete),
+        (_insertions, (forbidden_from, forbidden_into), _insert),
+        (_deletions, (required_adj, forbidden_from), _delete),
     )
-    for moves, apply in phases:
+    for moves, knowledge_masks, apply in phases:
+        memo: dict = {}
         while True:
+            masks = _masks(n, directed, undirected)
             ranked = sorted(
-                moves(_views(n, directed, undirected)), key=lambda mv: -mv[0]
+                moves(masks, memo, scorer, *knowledge_masks), key=lambda mv: -mv[0]
             )
             for _, move in ranked:
                 d_try, u_try = apply(directed, undirected, move)

@@ -142,14 +142,24 @@ def random_dag(n: int, p_edge: float, rng: np.random.Generator) -> Dag:
     for _ in range(REJECTION_CAP + 1):
         mask = rng.random((n, n)) < p_edge
         np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        try:
+        if _is_acyclic(mask):
+            rows, cols = np.nonzero(mask)
             return Dag(labels, zip(rows.tolist(), cols.tolist()))
-        except ValueError:
-            continue
     raise GraphGenerationError(
         f"no acyclic draw in {REJECTION_CAP} attempts (n={n}, p_edge={p_edge})"
     )
+
+
+def _is_acyclic(mask: np.ndarray) -> bool:
+    """True iff the adjacency matrix ``mask[parent, child]`` has no directed
+    cycle: peeling off the nodes with no parent left empties the graph."""
+    alive = np.ones(mask.shape[0], dtype=bool)
+    while alive.any():
+        sources = alive & ~mask[alive].any(axis=0)
+        if not sources.any():
+            return False
+        alive &= ~sources
+    return True
 
 
 def shd(a: Dag, b: Dag) -> int:

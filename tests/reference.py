@@ -1,16 +1,36 @@
-"""Dense reference computations that tests compare the package against.
+"""Reference computations that tests compare the package against.
 
 A joint distribution here is a plain float64 array over all 2**n states of
 a network, with node ``i`` at bit ``i``: state ``s`` gives node ``i`` the
 value ``(s >> i) & 1``. Every CPD is multiplied out over every state, so
 these suit small networks only; the package itself computes effects by
 variable elimination (``bayesnet.true_ate``).
+
+``ges_reference`` is the greedy equivalence search written plainly: every
+step re-enumerates and re-scores every move of the whole pattern, on
+per-node Python sets. ``meek_closure_reference`` and
+``consistent_extension_reference`` are the pattern rules on the same sets.
 """
+
+import itertools
 
 import numpy as np
 
 from causalprobe.bayesnet import Cbn, Cpd
 from causalprobe.dataset import state_index
+from causalprobe.discovery import (
+    _IMPROVEMENT_TOL,
+    MAX_SCORE_PARENTS,
+    Cpdag,
+    Knowledge,
+    _delete,
+    _insert,
+    _knowledge_edges,
+    _orient,
+    _rebuild,
+    _Scorer,
+)
+from causalprobe.errors import OrientationError
 from causalprobe.estimation import adjustment_set
 from causalprobe.graph import Dag
 
@@ -102,3 +122,193 @@ def estimate_ate_stratified(data, graph, treatment, outcome):
         diff = np.where(kept, n_o[1::2] / n1 - n_o[0::2] / n0, 0.0)
     weights = (n0 + n1)[kept]
     return float((diff[kept] * weights).sum() / weights.sum()), float(weights.sum() / m)
+
+
+def _views(n, directed, undirected):
+    """Per-node adjacency, undirected neighbours, children and parents."""
+    und_nb = [set() for _ in range(n)]
+    children = [set() for _ in range(n)]
+    parents = [set() for _ in range(n)]
+    for a, b in undirected:
+        und_nb[a].add(b)
+        und_nb[b].add(a)
+    for a, b in directed:
+        children[a].add(b)
+        parents[b].add(a)
+    adj = [und_nb[v] | children[v] | parents[v] for v in range(n)]
+    return adj, und_nb, children, parents
+
+
+def _one_meek_step(n, directed, undirected):
+    """Apply the first firing orientation rule; True if anything changed."""
+    adj, und_nb, children, parents = _views(n, directed, undirected)
+    # Rule 1: a -> b, b - c, a and c nonadjacent  =>  b -> c
+    for a, b in sorted(directed):
+        for c in sorted(und_nb[b]):
+            if c != a and c not in adj[a]:
+                _orient(directed, undirected, b, c)
+                return True
+    for u, v in sorted(undirected):
+        for a, b in ((u, v), (v, u)):
+            # Rule 2: a -> w -> b, a - b  =>  a -> b
+            rule2 = children[a] & parents[b]
+            # Rule 3: a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
+            shared = sorted(und_nb[a] & parents[b])
+            rule3 = any(
+                d not in adj[c] for c, d in itertools.combinations(shared, 2)
+            )
+            # Rule 4: a - w, w -> x, x -> b, w and b nonadjacent  =>  a -> b
+            rule4 = any(
+                w != b and b not in adj[w] and children[w] & parents[b]
+                for w in und_nb[a]
+            )
+            if rule2 or rule3 or rule4:
+                _orient(directed, undirected, a, b)
+                return True
+    return False
+
+
+def meek_closure_reference(n, directed, undirected):
+    """Close the pattern under the orientation rules, in place."""
+    while _one_meek_step(n, directed, undirected):
+        pass
+
+
+def consistent_extension_reference(n, directed, undirected):
+    """A DAG extending the pattern (Dor and Tarsi, 1992), lowest node first;
+    OrientationError when none exists."""
+    adj, und_nb, children, _ = _views(n, directed, undirected)
+    result = set(directed)
+    alive = set(range(n))
+    while alive:
+        for x in sorted(alive):
+            if not children[x] and all(adj[x] - {u} <= adj[u] for u in und_nb[x]):
+                break
+        else:
+            raise OrientationError("pattern admits no consistent extension")
+        result.update((u, x) for u in und_nb[x])
+        for v in adj[x]:
+            adj[v].discard(x)
+            und_nb[v].discard(x)
+            children[v].discard(x)
+        alive.discard(x)
+    return result
+
+
+def _subsets(items):
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
+def _is_clique(nodes, adj):
+    return all(b in adj[a] for a, b in itertools.combinations(nodes, 2))
+
+
+def _blocks_semi_directed(y, x, blocked, children, und_nb):
+    """True iff every path y -> .. -> x along directed (forward) or
+    undirected edges passes through a blocked node."""
+    seen = {y}
+    stack = [y]
+    while stack:
+        v = stack.pop()
+        for w in itertools.chain(children[v], und_nb[v]):
+            if w == x:
+                return False
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def _gain(scorer, y, with_x, without_x):
+    """Score of y's parent set ``with_x`` minus that of ``without_x``."""
+    def local(parents):
+        return scorer.local(y, sum(1 << p for p in parents))
+
+    return local(with_x) - local(without_x)
+
+
+def _insertions(views, scorer, forbidden):
+    adj, und_nb, children, parents = views
+    n = len(adj)
+    for x in range(n):
+        for y in range(n):
+            if x == y or y in adj[x] or (x, y) in forbidden:
+                continue
+            na = und_nb[y] & adj[x]
+            for t in _subsets(sorted(und_nb[y] - adj[x])):
+                if any((u, y) in forbidden for u in t):
+                    continue
+                group = na | set(t)
+                if not _is_clique(group, adj) or not _blocks_semi_directed(
+                    y, x, group, children, und_nb
+                ):
+                    continue
+                base = parents[y] | group
+                if len(base) + 1 > MAX_SCORE_PARENTS:
+                    continue
+                delta = _gain(scorer, y, base | {x}, base)
+                if delta > _IMPROVEMENT_TOL:
+                    yield delta, (x, y, t)
+
+
+def _deletions(views, scorer, required, forbidden):
+    adj, und_nb, children, parents = views
+    n = len(adj)
+    for x in range(n):
+        for y in range(n):
+            if x == y or (x, y) in required or (y, x) in required:
+                continue
+            is_dir = y in children[x]
+            if not (is_dir or y in und_nb[x]):
+                continue
+            na = sorted(und_nb[y] & adj[x])
+            for h in _subsets(na):
+                rest = set(na) - set(h)
+                if not _is_clique(rest, adj):
+                    continue
+                if any(
+                    (y, u) in forbidden or (u in und_nb[x] and (x, u) in forbidden)
+                    for u in h
+                ):
+                    continue
+                base = (parents[y] - {x}) | rest
+                if len(base) + 1 > MAX_SCORE_PARENTS:
+                    continue
+                delta = _gain(scorer, y, base, base | {x})
+                if delta > _IMPROVEMENT_TOL:
+                    yield delta, (x, y, h, is_dir)
+
+
+def ges_reference(data, knowledge=Knowledge(), penalty=1.0):
+    """The pattern ``discovery.ges`` returns, found by full re-enumeration:
+    the best-scoring move that rebuilds wins, ties go to enumeration order."""
+    labels = data.columns
+    required, forbidden = _knowledge_edges(knowledge, labels)
+    n = len(labels)
+    scorer = _Scorer(data, penalty)
+    directed, undirected = set(required), set()
+    if required:
+        directed, undirected = _rebuild(
+            labels, directed, undirected, required, forbidden
+        )
+    phases = (
+        (lambda views: _insertions(views, scorer, forbidden), _insert),
+        (lambda views: _deletions(views, scorer, required, forbidden), _delete),
+    )
+    for moves, apply in phases:
+        while True:
+            ranked = sorted(
+                moves(_views(n, directed, undirected)), key=lambda mv: -mv[0]
+            )
+            for _, move in ranked:
+                try:
+                    directed, undirected = _rebuild(
+                        labels, *apply(directed, undirected, move), required, forbidden
+                    )
+                except OrientationError:
+                    continue
+                break
+            else:
+                break
+    return Cpdag(labels, directed, undirected)

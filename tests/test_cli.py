@@ -579,6 +579,18 @@ class TestPlot:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["scatter", "means", "histogram"])
+    def test_runs_csv_of_failed_runs_is_data_error(self, tmp_path, capsys, kind):
+        # With no edges every run is degenerate and records a failure.
+        argv = ["simulate", "--n", "2", "--p-edge", "0", "--runs", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        runs = str(tmp_path / "runs.csv")
+        out = str(tmp_path / "x.svg")
+        capsys.readouterr()
+        assert main(["plot", runs, "--kind", kind, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {runs}: holds no completed run\n"
+        assert not os.path.exists(out)
+
     def test_unrecognized_header_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")

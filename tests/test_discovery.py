@@ -23,11 +23,14 @@ from causalprobe.errors import CapacityError, KnowledgeError, OrientationError
 from causalprobe.graph import Dag, random_dag
 
 
+def _mask(data, names):
+    """The scorer's parent mask for the named columns."""
+    return sum(1 << data.column_index(p) for p in names)
+
+
 def local_bic(data, node, parents=(), penalty=1.0):
     """Local BIC of one node, from the scorer the search uses."""
-    return _Scorer(data, penalty).local(
-        data.column_index(node), frozenset(data.column_index(p) for p in parents)
-    )
+    return _Scorer(data, penalty).local(data.column_index(node), _mask(data, parents))
 
 
 def graph_bic(data, graph):
@@ -36,7 +39,7 @@ def graph_bic(data, graph):
     return sum(
         scorer.local(
             data.column_index(graph.labels[v]),
-            frozenset(data.column_index(graph.labels[p]) for p in graph.parents(v)),
+            _mask(data, [graph.labels[p] for p in graph.parents(v)]),
         )
         for v in range(graph.n)
     )

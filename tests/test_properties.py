@@ -13,10 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from causalprobe import bayesnet, dataset
 from causalprobe.bayesnet import Cbn, random_cpds, sample, true_ate
-from causalprobe.dataset import read_csv, state_index
+from causalprobe.dataset import BinaryDataset, read_csv, state_index
 from causalprobe.discovery import (
     Knowledge,
     _apply_knowledge_orientations,
+    _consistent_extension,
     _knowledge_edges,
     _meek_closure,
     dag_to_cpdag,
@@ -27,7 +28,7 @@ from causalprobe.discovery import (
     parse_knowledge,
     pick_hint_edges,
 )
-from causalprobe.errors import DataError
+from causalprobe.errors import DataError, OrientationError
 from causalprobe.graph import Dag, from_text, to_text
 from causalprobe.probing import (
     GreaterThan,
@@ -40,7 +41,14 @@ from causalprobe.probing import (
     parse_probes,
 )
 from causalprobe.sim import SimParams, derive_seed, simulate_run
-from reference import intervened, marginal, probability
+from reference import (
+    consistent_extension_reference,
+    ges_reference,
+    intervened,
+    marginal,
+    meek_closure_reference,
+    probability,
+)
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -308,6 +316,75 @@ def test_search_without_knowledge_returns_the_pattern_of_its_extension(case):
     data, _ = case
     pattern = ges(data)
     assert dag_to_cpdag(orient_to_dag(pattern)) == pattern
+
+
+@st.composite
+def pdags(draw, max_nodes=8):
+    """Directed and undirected edges over up to ``max_nodes`` nodes whose
+    directed part is acyclic: each forward pair of a random order is absent,
+    directed forward, or undirected."""
+    n = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations(range(n)))
+    kinds = draw(st.lists(st.sampled_from("-> "), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    directed = {p for p, k in zip(pairs, kinds) if k == ">"}
+    undirected = {(min(p), max(p)) for p, k in zip(pairs, kinds) if k == "-"}
+    return n, directed, undirected
+
+
+def _outcome(rule, n, directed, undirected):
+    """The edge sets after ``rule`` and what it returned, or the error it
+    raised."""
+    directed, undirected = set(directed), set(undirected)
+    try:
+        got = rule(n, directed, undirected)
+    except OrientationError as exc:
+        got = str(exc)
+    return got, directed, undirected
+
+
+@PROPERTY
+@given(pdags())
+# Rule 4 would direct 3 -> 0 here through w = 1 were it not for w's edge to 0.
+@example((4, {(1, 0), (1, 2), (2, 0)}, {(0, 3), (1, 3), (2, 3)}))
+def test_orientation_rules_and_extension_match_the_plain_set_versions(case):
+    assert _outcome(_meek_closure, *case) == _outcome(meek_closure_reference, *case)
+    assert _outcome(_consistent_extension, *case) == _outcome(
+        consistent_extension_reference, *case
+    )
+
+
+@st.composite
+def tied_searches(draw):
+    """A search case on up to 8 nodes whose knowledge may also forbid the
+    reverse of required edges, and whose data may hold a duplicated and a
+    constant column, so that moves tie exactly."""
+    data, knowledge = draw(searches(max_nodes=8))
+    values = data.values.copy()
+    n = values.shape[1]
+    if draw(st.booleans()):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        values[:, dst] = values[:, src]
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, n - 1))] = draw(st.integers(0, 1))
+    flip = draw(
+        st.lists(st.booleans(), min_size=len(knowledge.required),
+                 max_size=len(knowledge.required))
+    )
+    reversed_required = [
+        (b, a) for (a, b), f in zip(sorted(knowledge.required), flip) if f
+    ]
+    return BinaryDataset(data.columns, values), Knowledge(
+        knowledge.required, [*knowledge.forbidden, *reversed_required]
+    )
+
+
+@PROPERTY
+@given(tied_searches())
+def test_search_finds_the_pattern_of_the_full_re_enumeration(case):
+    data, knowledge = case
+    assert ges(data, knowledge) == ges_reference(data, knowledge)
 
 
 # Plain names, or names built from pieces a line format may split, strip or

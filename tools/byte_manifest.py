@@ -10,9 +10,12 @@ sprinkler data with the probe and knowledge files from the README, once on
 the file ``write_csv`` writes and once (``analyze-crlf``) on the same data
 with CRLF line endings and a quoted header, which ``read_csv`` parses with
 ``csv.reader`` instead of its plain-form pass; and ``demo-sprinkler`` with
-and without ``--flip-knowledge``. Each output file and each command's stdout
-gets one ``<sha256>  <name>`` line; a stdout digest also covers the exit
-code.
+and without ``--flip-knowledge``. One more command (``ges-patterns``)
+prints the pattern ``ges`` returns on each of 400 seeded networks of 2 to 8
+nodes with required and forbidden knowledge; on every fourth network one
+column duplicates another and one is constant, so that moves tie exactly.
+Each output file and each command's stdout gets one ``<sha256>  <name>``
+line; a stdout digest also covers the exit code.
 
 Run it at two commits and diff the two listings: an empty diff means the
 change kept every output byte-identical. No digest is pinned here, because
@@ -64,6 +67,33 @@ MAKE_DATA = (
     "from causalprobe import sprinkler_data, write_csv; "
     "write_csv(sprinkler_data(m=10000, seed=0), 'data.csv')"
 )
+GES_PATTERNS = """\
+import numpy as np
+from causalprobe.bayesnet import random_cpds, sample
+from causalprobe.dataset import BinaryDataset
+from causalprobe.discovery import Knowledge, ges, pick_hint_edges
+from causalprobe.graph import random_dag
+for seed in range(400):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 7
+    g = random_dag(n, 0.3, rng)
+    values = sample(random_cpds(g, rng), 400, rng).values.copy()
+    hints = pick_hint_edges(g, (0.0, 0.3, 0.6, 1.0)[seed // 4 % 4], rng)
+    open_pairs = [
+        (g.labels[a], g.labels[b]) for a in range(n) for b in range(n)
+        if a != b and (a, b) not in g.edges and (b, a) not in g.edges
+    ]
+    picks = sorted(rng.permutation(len(open_pairs))[: len(open_pairs) // 3])
+    # Required edges forbidden the other way, and some open pairs.
+    forbidden = [(b, a) for a, b in sorted(hints.required)]
+    forbidden += [open_pairs[i] for i in picks]
+    if seed % 4 == 3:
+        values[:, n - 1] = values[:, 0]
+        if n > 2:
+            values[:, 1] = 0
+    data = BinaryDataset(g.labels, values)
+    print(seed, ges(data, Knowledge(hints.required, forbidden)))
+"""
 RUN_CLI = "import sys; from causalprobe.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -152,6 +182,7 @@ def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
         mismatched.append("analyze-crlf wrote a different report.json from analyze")
     outputs.update(_step(root, "demo", RUN_CLI, "demo-sprinkler"))
     outputs.update(_step(root, "demo-flipped", RUN_CLI, "demo-sprinkler", "--flip-knowledge"))
+    outputs.update(_step(root, "ges-patterns", GES_PATTERNS))
     return outputs, mismatched
 
 
