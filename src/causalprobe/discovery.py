@@ -318,7 +318,7 @@ def _meek_edge(masks: tuple[list[int], ...]) -> tuple[int, int] | None:
                 # (otherwise b -> a would either close a cycle through w, x or
                 # build a new collider w -> a <- b)
                 if any(
-                    not adj[w] >> b & 1 and children[w] & parents[b]
+                    not (adj[w] >> b & 1) and children[w] & parents[b]
                     for w in _bits(und[a] & ~(1 << b))
                 ):
                     return a, b
@@ -352,7 +352,7 @@ def _consistent_extension(n: int, directed: set, undirected: set) -> set:
     while alive:
         for x in _bits(alive):
             if not children[x] and all(
-                not adj[x] & ~adj[u] & ~(1 << u) for u in _bits(und[x])
+                not (adj[x] & ~adj[u] & ~(1 << u)) for u in _bits(und[x])
             ):
                 break
         else:
