@@ -166,7 +166,7 @@ class Cpdag:
 
     def v_structures(self) -> frozenset[tuple[int, int, int]]:
         """Unshielded colliders (x, z, y) with x < y, x -> z <- y."""
-        return _colliders(self.n, self.directed, self.skeleton())
+        return _colliders(_pattern(self.n, self.directed, self.undirected))
 
     def __repr__(self) -> str:
         parts = [f"{self.labels[a]}->{self.labels[b]}" for a, b in sorted(self.directed)]
@@ -222,10 +222,10 @@ class _Scorer:
 
 # ---------------------------------------------------------------------------
 # Pattern machinery: orientation, consistent extension, class computation.
-# A pattern is held as mutable sets: directed {(a, b)} and undirected
-# {(low, high)}. The rules and the search read it through per-node bitmasks
-# (bit v for node v); walking a mask's bits in ascending order keeps the
-# node order the tie-breaks rely on.
+# A pattern is held as four per-node bitmask lists (bit v for node v):
+# adjacents, undirected neighbours, children and parents. Edge sets are built
+# only where a Cpdag or Dag is made or read. Walking a mask's bits in
+# ascending order keeps the node order the tie-breaks rely on.
 # ---------------------------------------------------------------------------
 
 
@@ -237,58 +237,60 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _und_pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _colliders(
-    n: int, directed: Iterable[tuple[int, int]], skeleton: set
-) -> frozenset[tuple[int, int, int]]:
-    """Unshielded colliders (x, z, y), x < y: x -> z <- y with x and y
-    nonadjacent in ``skeleton`` (a set of (low, high) pairs)."""
-    parents: list[list[int]] = [[] for _ in range(n)]
+def _pattern(
+    n: int,
+    directed: Iterable[tuple[int, int]],
+    undirected: Iterable[tuple[int, int]] = (),
+) -> tuple[list[int], ...]:
+    """The masks of a pattern: adjacents, undirected neighbours, children,
+    parents."""
+    adj, und, children, parents = pattern = ([0] * n, [0] * n, [0] * n, [0] * n)
+    for a, b in undirected:
+        und[a] |= 1 << b
+        und[b] |= 1 << a
     for a, b in directed:
-        parents[b].append(a)
+        children[a] |= 1 << b
+        parents[b] |= 1 << a
+    for v in range(n):
+        adj[v] = und[v] | children[v] | parents[v]
+    return pattern
+
+
+def _edges(pattern) -> tuple[set, set]:
+    """The pattern's directed (a, b) and undirected (low, high) edges."""
+    _, und, children, _ = pattern
+    directed = {(a, b) for a, mask in enumerate(children) for b in _bits(mask)}
+    undirected = {(a, b) for a, mask in enumerate(und) for b in _bits(mask) if a < b}
+    return directed, undirected
+
+
+def _copy(pattern) -> tuple[list[int], ...]:
+    return tuple(list(masks) for masks in pattern)
+
+
+def _colliders(pattern) -> frozenset[tuple[int, int, int]]:
+    """Unshielded colliders (x, z, y), x < y: x -> z <- y with x and y
+    nonadjacent."""
+    adj, _, _, parents = pattern
     return frozenset(
         (x, z, y)
-        for z in range(n)
-        for x, y in itertools.combinations(sorted(parents[z]), 2)
-        if (x, y) not in skeleton
+        for z, into in enumerate(parents)
+        for x in _bits(into)
+        for y in _bits((into & ~adj[x]) >> (x + 1) << (x + 1))
     )
 
 
-def _orient(directed: set, undirected: set, a: int, b: int) -> None:
-    pair = _und_pair(a, b)
-    if pair not in undirected:
-        raise OrientationError(f"no undirected edge between {a} and {b} to orient")
-    if (b, a) in directed:
-        raise OrientationError(f"conflicting orientations for edge {a}-{b}")
-    undirected.discard(pair)
-    directed.add((a, b))
+def _orient(pattern, a: int, b: int) -> None:
+    """Direct the edge a - b as a -> b, in place. The edge is undirected or
+    already a -> b."""
+    _, und, children, parents = pattern
+    und[a] &= ~(1 << b)
+    und[b] &= ~(1 << a)
+    children[a] |= 1 << b
+    parents[b] |= 1 << a
 
 
-def _node_masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Per node a, the bitmask of every b with (a, b) in ``pairs``."""
-    masks = [0] * n
-    for a, b in pairs:
-        masks[a] |= 1 << b
-    return masks
-
-
-def _both_ways(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [e for a, b in pairs for e in ((a, b), (b, a))]
-
-
-def _masks(n: int, directed: set, undirected: set) -> tuple[list[int], ...]:
-    """Per-node bitmasks: adjacents, undirected neighbours, children, parents."""
-    und = _node_masks(n, _both_ways(undirected))
-    children = _node_masks(n, directed)
-    parents = _node_masks(n, ((b, a) for a, b in directed))
-    adj = [und[v] | children[v] | parents[v] for v in range(n)]
-    return adj, und, children, parents
-
-
-def _meek_edge(masks: tuple[list[int], ...]) -> tuple[int, int] | None:
+def _meek_edge(pattern) -> tuple[int, int] | None:
     """The first undirected edge a - b that an orientation rule directs
     a -> b, or None when the pattern is closed under the rules.
 
@@ -296,7 +298,7 @@ def _meek_edge(masks: tuple[list[int], ...]) -> tuple[int, int] | None:
     would force a directed cycle or a new unshielded collider in every
     extension of the pattern.
     """
-    adj, und, children, parents = masks
+    adj, und, children, parents = pattern
     n = len(adj)
     # Rule 1: a -> b, b - c, a and c nonadjacent  =>  b -> c
     for a in range(n):
@@ -325,30 +327,25 @@ def _meek_edge(masks: tuple[list[int], ...]) -> tuple[int, int] | None:
     return None
 
 
-def _meek_closure(n: int, directed: set, undirected: set) -> None:
-    masks = _masks(n, directed, undirected)
-    _, und, children, parents = masks
-    while (edge := _meek_edge(masks)) is not None:
-        a, b = edge
-        _orient(directed, undirected, a, b)
-        und[a] &= ~(1 << b)
-        und[b] &= ~(1 << a)
-        children[a] |= 1 << b
-        parents[b] |= 1 << a
+def _meek_closure(pattern) -> None:
+    """Close the pattern under the orientation rules, in place."""
+    while (edge := _meek_edge(pattern)) is not None:
+        _orient(pattern, *edge)
 
 
-def _consistent_extension(n: int, directed: set, undirected: set) -> set:
+def _consistent_extension(pattern) -> tuple[list[int], ...]:
     """Orient all undirected edges into a DAG with the pattern's colliders.
 
     Repeatedly finds the lowest node with no outgoing directed edges whose
     undirected neighbors are adjacent to all of its other neighbors, points
     that node's undirected edges at it, and removes it (Dor and Tarsi, 1992).
-    Raises OrientationError when no such node exists, meaning the pattern
-    admits no consistent extension.
+    Returns the DAG as a pattern with no undirected edges. Raises
+    OrientationError when no such node exists, meaning the pattern admits no
+    consistent extension.
     """
-    adj, und, children, _ = _masks(n, directed, undirected)
-    result = set(directed)
-    alive = (1 << n) - 1
+    dag = _copy(pattern)
+    adj, und, children, _ = _copy(pattern)
+    alive = (1 << len(adj)) - 1
     while alive:
         for x in _bits(alive):
             if not children[x] and all(
@@ -357,32 +354,33 @@ def _consistent_extension(n: int, directed: set, undirected: set) -> set:
                 break
         else:
             raise OrientationError("pattern admits no consistent extension")
-        result.update((u, x) for u in _bits(und[x]))
+        for u in _bits(und[x]):
+            _orient(dag, u, x)
         keep = ~(1 << x)
         for v in _bits(adj[x]):
             adj[v] &= keep
             und[v] &= keep
             children[v] &= keep
         alive &= keep
-    return result
+    return dag
 
 
-def _dag_to_pattern(n: int, dag_edges: set) -> tuple[set, set]:
+def _dag_to_pattern(dag) -> tuple[list[int], ...]:
     """Equivalence-class pattern of a DAG: v-structures stay directed, then
     the orientation rules propagate; everything else is undirected."""
-    skeleton = {_und_pair(a, b) for a, b in dag_edges}
-    directed = {
-        (p, z) for x, z, y in _colliders(n, dag_edges, skeleton) for p in (x, y)
-    }
-    undirected = {_und_pair(a, b) for a, b in dag_edges if (a, b) not in directed}
-    _meek_closure(n, directed, undirected)
-    return directed, undirected
+    adj = dag[0]
+    pattern = (list(adj), list(adj), [0] * len(adj), [0] * len(adj))
+    for x, z, y in _colliders(dag):
+        _orient(pattern, x, z)
+        _orient(pattern, y, z)
+    _meek_closure(pattern)
+    return pattern
 
 
 def dag_to_cpdag(graph: Dag) -> Cpdag:
     """The Markov equivalence class pattern of a DAG."""
-    directed, undirected = _dag_to_pattern(graph.n, set(graph.edges))
-    return Cpdag(graph.labels, directed, undirected)
+    pattern = _dag_to_pattern(_pattern(graph.n, graph.edges))
+    return Cpdag(graph.labels, *_edges(pattern))
 
 
 def _knowledge_edges(
@@ -402,41 +400,39 @@ def _knowledge_edges(
 
 
 def _apply_knowledge_orientations(
-    labels: Sequence[str], directed: set, undirected: set, required: set, forbidden: set
+    labels: Sequence[str], pattern, required_from: list[int], forbidden_from: list[int]
 ) -> None:
-    """Orient required edges, then undirected edges forbidden one way only."""
-    for a, b in sorted(required):
-        edge = f"required edge {labels[a]}->{labels[b]}"
-        if (b, a) in directed:
-            raise OrientationError(
-                f"{edge} is directed the other way in the pattern"
-            )
-        if (a, b) in directed:
-            continue
-        if _und_pair(a, b) in undirected:
-            _orient(directed, undirected, a, b)
-        else:
-            raise OrientationError(f"{edge} has no adjacency in the pattern")
-    for a, b in sorted(undirected):
-        lo_hi = (a, b) in forbidden
-        hi_lo = (b, a) in forbidden
-        if lo_hi and not hi_lo:
-            _orient(directed, undirected, b, a)
-        elif hi_lo and not lo_hi:
-            _orient(directed, undirected, a, b)
+    """Orient required edges, then undirected edges forbidden one way only.
+
+    ``required_from[a]`` and ``forbidden_from[a]`` hold the nodes b of the
+    required and forbidden edges a -> b.
+    """
+    adj, und, children, _ = pattern
+    for a, required in enumerate(required_from):
+        for b in _bits(required):
+            edge = f"required edge {labels[a]}->{labels[b]}"
+            if children[b] >> a & 1:
+                raise OrientationError(
+                    f"{edge} is directed the other way in the pattern"
+                )
+            if not adj[a] >> b & 1:
+                raise OrientationError(f"{edge} has no adjacency in the pattern")
+            _orient(pattern, a, b)
+    for a, forbidden in enumerate(forbidden_from):
+        for b in _bits(und[a] & forbidden):
+            if not forbidden_from[b] >> a & 1:
+                _orient(pattern, b, a)
 
 
 def _rebuild(
-    labels: Sequence[str], directed: set, undirected: set, required: set, forbidden: set
-) -> tuple[set, set]:
+    labels: Sequence[str], pattern, required_from: list[int], forbidden_from: list[int]
+) -> tuple[list[int], ...]:
     """Canonical pattern after an operator: re-derive the equivalence class,
     re-apply knowledge orientations, and close under the orientation rules."""
-    n = len(labels)
-    extension = _consistent_extension(n, directed, undirected)
-    d2, u2 = _dag_to_pattern(n, extension)
-    _apply_knowledge_orientations(labels, d2, u2, required, forbidden)
-    _meek_closure(n, d2, u2)
-    return d2, u2
+    rebuilt = _dag_to_pattern(_consistent_extension(pattern))
+    _apply_knowledge_orientations(labels, rebuilt, required_from, forbidden_from)
+    _meek_closure(rebuilt)
+    return rebuilt
 
 
 def _subsets(mask: int):
@@ -470,28 +466,26 @@ def _blocks_semi_directed(
 
 
 # Each phase keeps a memo of move candidates. A pair (x, y)'s candidates,
-# their static filters (forbidden edges, MAX_SCORE_PARENTS) and their gains
-# depend only on the masks in its key: for an insertion y's undirected
-# neighbours, those adjacent to x, and y's parents; for a deletion the
-# common neighbours, those undirected at x, and y's parents. The memo maps
-# the key to the candidates in enumeration order, each [group, subset,
-# base, gain]: the nodes whose validity a step re-checks, the subset the
-# move carries, the parent mask its gain compares with and without x, and
-# that gain once computed. The generators thus yield what a full
+# their MAX_SCORE_PARENTS filter and their gains depend only on the masks in
+# its key: for an insertion y's undirected neighbours, those adjacent to x,
+# and y's parents; for a deletion the common neighbours and y's parents. The
+# memo maps the key to the candidates in enumeration order, each [group,
+# subset, base, gain]: the nodes whose validity a step re-checks, the subset
+# the move carries, the parent mask its gain compares with and without x,
+# and that gain once computed. The generators thus yield what a full
 # re-enumeration would, in the same order, but score each candidate once
 # and skip those whose gain is already known to be too small.
+#
+# Knowledge needs no filter on the subsets: every pattern the search holds
+# comes from _rebuild, which directs each edge forbidden one way, and an
+# edge forbidden both ways is never inserted, so no undirected edge is
+# forbidden either way.
 
 
-def _insertions(
-    masks,
-    memo: dict,
-    scorer: _Scorer,
-    forbidden_from: list[int],
-    forbidden_into: list[int],
-):
+def _insertions(pattern, memo: dict, scorer: _Scorer, forbidden_from: list[int]):
     """Insert x -> y, orienting the undirected t - y edges (t a subset of y's
     neighbours not adjacent to x) into y: yields (gain, (x, y, t))."""
-    adj, und, children, parents = masks
+    adj, und, children, parents = pattern
     n = len(adj)
     for x in range(n):
         for y in _bits(((1 << n) - 1) & ~(adj[x] | forbidden_from[x] | 1 << x)):
@@ -502,9 +496,7 @@ def _insertions(
                 candidates = memo[key] = []
                 for t, t_mask in _subsets(und[y] & ~na):
                     base = parents[y] | na | t_mask
-                    if not t_mask & forbidden_into[y] and (
-                        base.bit_count() + 1 <= MAX_SCORE_PARENTS
-                    ):
+                    if base.bit_count() + 1 <= MAX_SCORE_PARENTS:
                         candidates.append([na | t_mask, t, base, None])
             for cand in candidates:
                 group, t, base, gain = cand
@@ -522,33 +514,22 @@ def _insertions(
                     yield gain, (x, y, t)
 
 
-def _deletions(
-    masks,
-    memo: dict,
-    scorer: _Scorer,
-    required_adj: list[int],
-    forbidden_from: list[int],
-):
+def _deletions(pattern, memo: dict, scorer: _Scorer, required_adj: list[int]):
     """Delete x - y or x -> y, orienting y -> h and x -> h for each h in a
-    subset of the common undirected neighbours: yields
-    (gain, (x, y, h, is_dir))."""
-    adj, und, children, parents = masks
+    subset of the common undirected neighbours: yields (gain, (x, y, h))."""
+    adj, und, children, parents = pattern
     n = len(adj)
     for x in range(n):
         for y in _bits((children[x] | und[x]) & ~required_adj[x]):
-            is_dir = bool(children[x] >> y & 1)
             na = und[y] & adj[x]
-            key = (x, y, na, und[x] & na, parents[y])
+            key = (x, y, na, parents[y])
             candidates = memo.get(key)
             if candidates is None:
                 candidates = memo[key] = []
-                barred = forbidden_from[y] | (und[x] & forbidden_from[x])
                 for h, h_mask in _subsets(na):
                     rest = na & ~h_mask
                     base = (parents[y] & ~(1 << x)) | rest
-                    if not h_mask & barred and (
-                        base.bit_count() + 1 <= MAX_SCORE_PARENTS
-                    ):
+                    if base.bit_count() + 1 <= MAX_SCORE_PARENTS:
                         candidates.append([rest, h, base, None])
             for cand in candidates:
                 rest, h, base, gain = cand
@@ -561,33 +542,35 @@ def _deletions(
                         y, base | 1 << x
                     )
                 if gain > _IMPROVEMENT_TOL:
-                    yield gain, (x, y, h, is_dir)
+                    yield gain, (x, y, h)
 
 
-def _insert(directed: set, undirected: set, move) -> tuple[set, set]:
-    """Copies of the pattern with an insertion from :func:`_insertions` made."""
+def _insert(pattern, move) -> tuple[list[int], ...]:
+    """A copy of the pattern with an insertion from :func:`_insertions` made."""
     x, y, t = move
-    d, u = set(directed), set(undirected)
-    d.add((x, y))
+    new = adj, _, children, parents = _copy(pattern)
+    adj[x] |= 1 << y
+    adj[y] |= 1 << x
+    children[x] |= 1 << y
+    parents[y] |= 1 << x
     for w in t:
-        _orient(d, u, w, y)
-    return d, u
+        _orient(new, w, y)
+    return new
 
 
-def _delete(directed: set, undirected: set, move) -> tuple[set, set]:
-    """Copies of the pattern with a deletion from :func:`_deletions` made."""
-    x, y, h, is_dir = move
-    d, u = set(directed), set(undirected)
-    if is_dir:
-        d.discard((x, y))
-    else:
-        u.discard(_und_pair(x, y))
+def _delete(pattern, move) -> tuple[list[int], ...]:
+    """A copy of the pattern with a deletion from :func:`_deletions` made."""
+    x, y, h = move
+    new = _copy(pattern)
+    for a, b in ((x, y), (y, x)):
+        for masks in new:
+            masks[a] &= ~(1 << b)
+    und = new[1]
     for w in h:
-        if _und_pair(y, w) in u:
-            _orient(d, u, y, w)
-        if _und_pair(x, w) in u:
-            _orient(d, u, x, w)
-    return d, u
+        _orient(new, y, w)
+        if und[x] >> w & 1:
+            _orient(new, x, w)
+    return new
 
 
 def ges(
@@ -608,42 +591,38 @@ def ges(
     n = len(labels)
     scorer = _Scorer(data, penalty)
 
-    directed: set = set(required)
-    undirected: set = set()
+    # Knowledge as per-node masks: the adjacents and children of the
+    # required edges read as a pattern, and the children of the forbidden.
+    required_adj, _, required_from, _ = _pattern(n, required)
+    forbidden_from = _pattern(n, forbidden)[2]
+    pattern = _pattern(n, required)
     if required:
-        directed, undirected = _rebuild(
-            labels, directed, undirected, required, forbidden
-        )
-    forbidden_from = _node_masks(n, forbidden)
-    forbidden_into = _node_masks(n, ((b, a) for a, b in forbidden))
-    required_adj = _node_masks(n, _both_ways(required))
+        pattern = _rebuild(labels, pattern, required_from, forbidden_from)
     # Each phase takes the best move that rebuilds until none does. A stable
     # sort on the gain keeps enumeration order among ties. Knowledge
     # orientations make the working pattern a general PDAG, so a move that
     # scores well can still fail to rebuild; such moves are skipped.
     phases = (
-        (_insertions, (forbidden_from, forbidden_into), _insert),
-        (_deletions, (required_adj, forbidden_from), _delete),
+        (_insertions, forbidden_from, _insert),
+        (_deletions, required_adj, _delete),
     )
     for moves, knowledge_masks, apply in phases:
         memo: dict = {}
         while True:
-            masks = _masks(n, directed, undirected)
             ranked = sorted(
-                moves(masks, memo, scorer, *knowledge_masks), key=lambda mv: -mv[0]
+                moves(pattern, memo, scorer, knowledge_masks), key=lambda mv: -mv[0]
             )
             for _, move in ranked:
-                d_try, u_try = apply(directed, undirected, move)
                 try:
-                    directed, undirected = _rebuild(
-                        labels, d_try, u_try, required, forbidden
+                    pattern = _rebuild(
+                        labels, apply(pattern, move), required_from, forbidden_from
                     )
                 except OrientationError:
                     continue
                 break
             else:
                 break  # no move rebuilt: the phase is over
-    return Cpdag(labels, directed, undirected)
+    return Cpdag(labels, *_edges(pattern))
 
 
 def orient_to_dag(pattern: Cpdag) -> Dag:
@@ -657,17 +636,18 @@ def orient_to_dag(pattern: Cpdag) -> Dag:
     same skeleton, same unshielded colliders. Raises OrientationError when
     no consistent extension exists.
     """
-    n = pattern.n
-    directed = set(pattern.directed)
-    undirected = set(pattern.undirected)
     before_colliders = pattern.v_structures()
-    _meek_closure(n, directed, undirected)
-    while undirected:
-        a, b = min(undirected)
-        _orient(directed, undirected, a, b)
-        _meek_closure(n, directed, undirected)
+    masks = _pattern(pattern.n, pattern.directed, pattern.undirected)
+    und = masks[1]
+    _meek_closure(masks)
+    # Orienting never adds an undirected edge, so the lowest node left with
+    # one has only higher neighbours: its lowest one makes the smallest pair.
+    for a in range(pattern.n):
+        while und[a]:
+            _orient(masks, a, next(_bits(und[a])))
+            _meek_closure(masks)
     try:
-        result = Dag(pattern.labels, directed)
+        result = Dag(pattern.labels, _edges(masks)[0])
     except ValueError as exc:
         raise OrientationError(f"orientation produced a cycle: {exc}") from exc
     if dagv_structures(result) != before_colliders:
@@ -679,8 +659,7 @@ def orient_to_dag(pattern: Cpdag) -> Dag:
 
 def dagv_structures(graph: Dag) -> frozenset[tuple[int, int, int]]:
     """Unshielded colliders (x, z, y) of a DAG, with x < y."""
-    skeleton = {_und_pair(a, b) for a, b in graph.edges}
-    return _colliders(graph.n, graph.edges, skeleton)
+    return _colliders(_pattern(graph.n, graph.edges))
 
 
 def pick_hint_edges(

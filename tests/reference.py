@@ -8,8 +8,11 @@ variable elimination (``bayesnet.true_ate``).
 
 ``ges_reference`` is the greedy equivalence search written plainly: every
 step re-enumerates and re-scores every move of the whole pattern, on
-per-node Python sets. ``meek_closure_reference`` and
-``consistent_extension_reference`` are the pattern rules on the same sets.
+per-node Python sets. ``meek_closure_reference``,
+``consistent_extension_reference`` and ``rebuild_reference`` are the
+pattern rules and the search's rebuild on the same sets; they share no
+pattern code with the package, whose rules read per-node bitmasks.
+``masks``, ``edge_sets`` and ``on_sets`` convert between the two forms.
 """
 
 import itertools
@@ -23,11 +26,7 @@ from causalprobe.discovery import (
     MAX_SCORE_PARENTS,
     Cpdag,
     Knowledge,
-    _delete,
-    _insert,
     _knowledge_edges,
-    _orient,
-    _rebuild,
     _Scorer,
 )
 from causalprobe.errors import OrientationError
@@ -124,6 +123,20 @@ def estimate_ate_stratified(data, graph, treatment, outcome):
     return float((diff[kept] * weights).sum() / weights.sum()), float(weights.sum() / m)
 
 
+def _pair(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _orient(directed, undirected, a, b):
+    pair = _pair(a, b)
+    if pair not in undirected:
+        raise OrientationError(f"no undirected edge between {a} and {b} to orient")
+    if (b, a) in directed:
+        raise OrientationError(f"conflicting orientations for edge {a}-{b}")
+    undirected.discard(pair)
+    directed.add((a, b))
+
+
 def _views(n, directed, undirected):
     """Per-node adjacency, undirected neighbours, children and parents."""
     und_nb = [set() for _ in range(n)]
@@ -193,6 +206,98 @@ def consistent_extension_reference(n, directed, undirected):
             children[v].discard(x)
         alive.discard(x)
     return result
+
+
+def unshielded_colliders(directed, skeleton):
+    """(x, z, y), x < y, for x -> z <- y with x and y nonadjacent."""
+    return {
+        (x, z, y)
+        for x, z in directed
+        for y, w in directed
+        if w == z and x < y and (x, y) not in skeleton
+    }
+
+
+def _dag_to_pattern(n, dag_edges):
+    skeleton = {_pair(a, b) for a, b in dag_edges}
+    directed = {
+        (p, z)
+        for x, z, y in unshielded_colliders(dag_edges, skeleton)
+        for p in (x, y)
+    }
+    undirected = {_pair(a, b) for a, b in dag_edges if (a, b) not in directed}
+    meek_closure_reference(n, directed, undirected)
+    return directed, undirected
+
+
+def _apply_knowledge_orientations(labels, directed, undirected, required, forbidden):
+    for a, b in sorted(required):
+        edge = f"required edge {labels[a]}->{labels[b]}"
+        if (b, a) in directed:
+            raise OrientationError(
+                f"{edge} is directed the other way in the pattern"
+            )
+        if (a, b) in directed:
+            continue
+        if _pair(a, b) in undirected:
+            _orient(directed, undirected, a, b)
+        else:
+            raise OrientationError(f"{edge} has no adjacency in the pattern")
+    for a, b in sorted(undirected):
+        lo_hi = (a, b) in forbidden
+        hi_lo = (b, a) in forbidden
+        if lo_hi and not hi_lo:
+            _orient(directed, undirected, b, a)
+        elif hi_lo and not lo_hi:
+            _orient(directed, undirected, a, b)
+
+
+def rebuild_reference(labels, directed, undirected, required, forbidden):
+    """The pattern after a search step: the pattern of a consistent
+    extension, then the knowledge orientations, closed under the rules."""
+    n = len(labels)
+    d2, u2 = _dag_to_pattern(n, consistent_extension_reference(n, directed, undirected))
+    _apply_knowledge_orientations(labels, d2, u2, required, forbidden)
+    meek_closure_reference(n, d2, u2)
+    return d2, u2
+
+
+def masks(n, directed, undirected=()):
+    """The per-node bitmasks (bit v for node v) the package's pattern code
+    reads: adjacents, undirected neighbours, children and parents."""
+    return tuple(
+        [sum(1 << v for v in nodes) for nodes in view]
+        for view in _views(n, directed, undirected)
+    )
+
+
+def edge_sets(pattern):
+    """The directed and undirected edges of per-node bitmasks."""
+    _, und, children, _ = pattern
+    n = len(und)
+    directed = {(a, b) for a in range(n) for b in range(n) if children[a] >> b & 1}
+    undirected = {(a, b) for a in range(n) for b in range(a + 1, n) if und[a] >> b & 1}
+    return directed, undirected
+
+
+def on_sets(rule):
+    """A package pattern rule called as its set version is: on (n,
+    directed, undirected), updating the sets in place. A pattern the rule
+    returns comes back as its directed edges."""
+
+    def run(n, directed, undirected):
+        pattern = masks(n, directed, undirected)
+        try:
+            got = rule(pattern)
+        finally:
+            d, u = edge_sets(pattern)
+            directed.clear()
+            directed.update(d)
+            undirected.clear()
+            undirected.update(u)
+        return None if got is None else edge_sets(got)[0]
+
+    return run
 
 
 def _subsets(items):
@@ -280,6 +385,30 @@ def _deletions(views, scorer, required, forbidden):
                     yield delta, (x, y, h, is_dir)
 
 
+def _insert(directed, undirected, move):
+    x, y, t = move
+    d, u = set(directed), set(undirected)
+    d.add((x, y))
+    for w in t:
+        _orient(d, u, w, y)
+    return d, u
+
+
+def _delete(directed, undirected, move):
+    x, y, h, is_dir = move
+    d, u = set(directed), set(undirected)
+    if is_dir:
+        d.discard((x, y))
+    else:
+        u.discard(_pair(x, y))
+    for w in h:
+        if _pair(y, w) in u:
+            _orient(d, u, y, w)
+        if _pair(x, w) in u:
+            _orient(d, u, x, w)
+    return d, u
+
+
 def ges_reference(data, knowledge=Knowledge(), penalty=1.0):
     """The pattern ``discovery.ges`` returns, found by full re-enumeration:
     the best-scoring move that rebuilds wins, ties go to enumeration order."""
@@ -289,7 +418,7 @@ def ges_reference(data, knowledge=Knowledge(), penalty=1.0):
     scorer = _Scorer(data, penalty)
     directed, undirected = set(required), set()
     if required:
-        directed, undirected = _rebuild(
+        directed, undirected = rebuild_reference(
             labels, directed, undirected, required, forbidden
         )
     phases = (
@@ -303,7 +432,7 @@ def ges_reference(data, knowledge=Knowledge(), penalty=1.0):
             )
             for _, move in ranked:
                 try:
-                    directed, undirected = _rebuild(
+                    directed, undirected = rebuild_reference(
                         labels, *apply(directed, undirected, move), required, forbidden
                     )
                 except OrientationError:

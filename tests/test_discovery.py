@@ -21,6 +21,7 @@ from causalprobe.discovery import (
 )
 from causalprobe.errors import CapacityError, KnowledgeError, OrientationError
 from causalprobe.graph import Dag, random_dag
+from reference import on_sets, unshielded_colliders
 
 
 def _mask(data, names):
@@ -316,16 +317,6 @@ class TestOrientToDag:
         assert (1, 0) in orient_to_dag(p).edges
 
 
-def unshielded_colliders(directed, skeleton):
-    """(x, z, y), x < y, for x -> z <- y with x and y nonadjacent."""
-    return {
-        (x, z, y)
-        for x, z in directed
-        for y, w in directed
-        if w == z and x < y and (x, y) not in skeleton
-    }
-
-
 class TestConsistentExtension:
     """An extension of a PDAG orients its undirected edges into a DAG that
     keeps every directed edge and has the same unshielded colliders."""
@@ -348,11 +339,12 @@ class TestConsistentExtension:
 
     def check(self, n, directed, undirected):
         """Compare against brute force; True iff an extension exists."""
+        extend = on_sets(_consistent_extension)
         if not self.has_extension(n, directed, undirected):
             with pytest.raises(OrientationError):
-                _consistent_extension(n, set(directed), set(undirected))
+                extend(n, set(directed), set(undirected))
             return False
-        out = _consistent_extension(n, set(directed), set(undirected))
+        out = extend(n, set(directed), set(undirected))
         Dag([f"v{i}" for i in range(n)], out)  # acyclic
         skeleton = {(min(e), max(e)) for e in directed} | undirected
         assert len(out) == len(skeleton)

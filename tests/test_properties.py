@@ -5,13 +5,14 @@ formats against direct reference computations."""
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from causalprobe import bayesnet, dataset
+from causalprobe import bayesnet, dataset, discovery
 from causalprobe.bayesnet import Cbn, random_cpds, sample, true_ate
 from causalprobe.dataset import BinaryDataset, read_csv, state_index
 from causalprobe.discovery import (
@@ -20,6 +21,7 @@ from causalprobe.discovery import (
     _consistent_extension,
     _knowledge_edges,
     _meek_closure,
+    _rebuild,
     dag_to_cpdag,
     dagv_structures,
     format_knowledge,
@@ -43,11 +45,15 @@ from causalprobe.probing import (
 from causalprobe.sim import SimParams, derive_seed, simulate_run
 from reference import (
     consistent_extension_reference,
+    edge_sets,
     ges_reference,
     intervened,
     marginal,
+    masks,
     meek_closure_reference,
+    on_sets,
     probability,
+    rebuild_reference,
 )
 
 PROPERTY = settings(
@@ -300,12 +306,14 @@ def test_search_returns_a_pattern_closed_under_its_knowledge(case):
     # orientation rules once more must change nothing.
     data, knowledge = case
     pattern = ges(data, knowledge)
-    directed, undirected = set(pattern.directed), set(pattern.undirected)
-    required, forbidden = _knowledge_edges(knowledge, pattern.labels)
-    _apply_knowledge_orientations(
-        pattern.labels, directed, undirected, required, forbidden
+    closed = masks(pattern.n, pattern.directed, pattern.undirected)
+    required, forbidden = (
+        masks(pattern.n, edges)[2]
+        for edges in _knowledge_edges(knowledge, pattern.labels)
     )
-    _meek_closure(pattern.n, directed, undirected)
+    _apply_knowledge_orientations(pattern.labels, closed, required, forbidden)
+    _meek_closure(closed)
+    directed, undirected = edge_sets(closed)
     assert directed == pattern.directed
     assert undirected == pattern.undirected
 
@@ -335,7 +343,10 @@ def pdags(draw, max_nodes=8):
 
 def _outcome(rule, n, directed, undirected):
     """The edge sets after ``rule`` and what it returned, or the error it
-    raised."""
+    raised. The package's rules run on the sets' masks, through
+    ``on_sets``."""
+    if rule in (_meek_closure, _consistent_extension):
+        rule = on_sets(rule)
     directed, undirected = set(directed), set(undirected)
     try:
         got = rule(n, directed, undirected)
@@ -353,6 +364,53 @@ def test_orientation_rules_and_extension_match_the_plain_set_versions(case):
     assert _outcome(_consistent_extension, *case) == _outcome(
         consistent_extension_reference, *case
     )
+
+
+def _rebuilt_or_message(rebuild):
+    try:
+        return rebuild()
+    except OrientationError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(pdags(), st.data())
+def test_rebuild_matches_the_plain_set_rebuild(case, data):
+    # Knowledge as the search meets it: each adjacent pair may be required
+    # one way, and any pair not required may be forbidden, the reverse of a
+    # required edge included.
+    n, directed, undirected = case
+    labels = [f"v{i}" for i in range(n)]
+    skeleton = sorted(undirected | {(min(e), max(e)) for e in directed})
+    ways = data.draw(
+        st.lists(st.sampled_from("<> "), min_size=len(skeleton), max_size=len(skeleton))
+    )
+    required = {
+        (a, b) if w == ">" else (b, a) for (a, b), w in zip(skeleton, ways) if w != " "
+    }
+    open_pairs = [
+        (a, b) for a in range(n) for b in range(n) if a != b and (a, b) not in required
+    ]
+    keep = data.draw(
+        st.lists(st.booleans(), min_size=len(open_pairs), max_size=len(open_pairs))
+    )
+    forbidden = {p for p, k in zip(open_pairs, keep) if k}
+    got = _rebuilt_or_message(
+        lambda: edge_sets(
+            _rebuild(
+                labels,
+                masks(n, directed, undirected),
+                masks(n, required)[2],
+                masks(n, forbidden)[2],
+            )
+        )
+    )
+    want = _rebuilt_or_message(
+        lambda: rebuild_reference(
+            labels, set(directed), set(undirected), required, forbidden
+        )
+    )
+    assert got == want
 
 
 @st.composite
@@ -385,6 +443,25 @@ def tied_searches(draw):
 def test_search_finds_the_pattern_of_the_full_re_enumeration(case):
     data, knowledge = case
     assert ges(data, knowledge) == ges_reference(data, knowledge)
+
+
+@PROPERTY
+@given(tied_searches())
+def test_search_holds_no_undirected_edge_that_knowledge_forbids(case):
+    # The invariant that lets the search's move generators skip forbidden
+    # edges among the subsets they orient.
+    data, knowledge = case
+    _, forbidden = _knowledge_edges(knowledge, data.columns)
+    rebuild = discovery._rebuild
+
+    def checked(*args):
+        pattern = rebuild(*args)
+        _, undirected = edge_sets(pattern)
+        assert not forbidden & (undirected | {(b, a) for a, b in undirected})
+        return pattern
+
+    with mock.patch.object(discovery, "_rebuild", checked):
+        ges(data, knowledge)
 
 
 # Plain names, or names built from pieces a line format may split, strip or

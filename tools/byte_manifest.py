@@ -14,6 +14,9 @@ and without ``--flip-knowledge``. One more command (``ges-patterns``)
 prints the pattern ``ges`` returns on each of 400 seeded networks of 2 to 8
 nodes with required and forbidden knowledge; on every fourth network one
 column duplicates another and one is constant, so that moves tie exactly.
+The last (``orient-dags``) prints, on the same networks, the edges of the
+DAG ``orient_to_dag`` commits that pattern to, and the pattern
+``dag_to_cpdag`` gives the true DAG.
 Each output file and each command's stdout gets one ``<sha256>  <name>``
 line; a stdout digest also covers the exit code.
 
@@ -67,11 +70,16 @@ MAKE_DATA = (
     "from causalprobe import sprinkler_data, write_csv; "
     "write_csv(sprinkler_data(m=10000, seed=0), 'data.csv')"
 )
-GES_PATTERNS = """\
+# The search cases of ``ges-patterns`` and ``orient-dags``: each network's
+# seed, true DAG ``g`` and the pattern ``found`` are left to the line that
+# follows the loop body.
+SEARCH_NETWORKS = """\
 import numpy as np
 from causalprobe.bayesnet import random_cpds, sample
 from causalprobe.dataset import BinaryDataset
-from causalprobe.discovery import Knowledge, ges, pick_hint_edges
+from causalprobe.discovery import (
+    Knowledge, dag_to_cpdag, ges, orient_to_dag, pick_hint_edges,
+)
 from causalprobe.graph import random_dag
 for seed in range(400):
     rng = np.random.default_rng(seed)
@@ -92,8 +100,13 @@ for seed in range(400):
         if n > 2:
             values[:, 1] = 0
     data = BinaryDataset(g.labels, values)
-    print(seed, ges(data, Knowledge(hints.required, forbidden)))
+    found = ges(data, Knowledge(hints.required, forbidden))
 """
+GES_PATTERNS = SEARCH_NETWORKS + "    print(seed, found)\n"
+ORIENT_DAGS = (
+    SEARCH_NETWORKS
+    + "    print(seed, sorted(orient_to_dag(found).edges), dag_to_cpdag(g))\n"
+)
 RUN_CLI = "import sys; from causalprobe.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -183,6 +196,7 @@ def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
     outputs.update(_step(root, "demo", RUN_CLI, "demo-sprinkler"))
     outputs.update(_step(root, "demo-flipped", RUN_CLI, "demo-sprinkler", "--flip-knowledge"))
     outputs.update(_step(root, "ges-patterns", GES_PATTERNS))
+    outputs.update(_step(root, "orient-dags", ORIENT_DAGS))
     return outputs, mismatched
 
 
