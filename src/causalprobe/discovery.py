@@ -221,7 +221,7 @@ class _Scorer:
 
 
 # ---------------------------------------------------------------------------
-# Pattern machinery: orientation, consistent extension, class computation.
+# Pattern machinery: orientation, extension to a DAG, class computation.
 # A pattern is held as four per-node bitmask lists (bit v for node v):
 # adjacents, undirected neighbours, children and parents. Edge sets are built
 # only where a Cpdag or Dag is made or read. Walking a mask's bits in
@@ -299,14 +299,17 @@ def _meek_edge(pattern) -> tuple[int, int] | None:
     extension of the pattern.
     """
     adj, und, children, parents = pattern
-    n = len(adj)
+    # Only nodes with an undirected edge can take part in a rule's edge.
+    loose = sum(1 << v for v, nb in enumerate(und) if nb)
+    if not loose:
+        return None
     # Rule 1: a -> b, b - c, a and c nonadjacent  =>  b -> c
-    for a in range(n):
-        for b in _bits(children[a]):
+    for a, kids in enumerate(children):
+        for b in _bits(kids & loose):
             free = und[b] & ~adj[a] & ~(1 << a)
             if free:
                 return b, next(_bits(free))
-    for u in range(n):
+    for u in _bits(loose):
         for v in _bits(und[u] >> (u + 1) << (u + 1)):
             for a, b in ((u, v), (v, u)):
                 # Rule 2: a -> w -> b, a - b  =>  a -> b
@@ -333,35 +336,42 @@ def _meek_closure(pattern) -> None:
         _orient(pattern, *edge)
 
 
-def _consistent_extension(pattern) -> tuple[list[int], ...]:
-    """Orient all undirected edges into a DAG with the pattern's colliders.
+def _acyclic(children: list[int]) -> bool:
+    """True iff the child masks hold no directed cycle: peeling off sinks
+    empties the graph."""
+    alive = (1 << len(children)) - 1
+    while sinks := sum(1 << v for v in _bits(alive) if not children[v] & alive):
+        alive &= ~sinks
+    return not alive
 
-    Repeatedly finds the lowest node with no outgoing directed edges whose
-    undirected neighbors are adjacent to all of its other neighbors, points
-    that node's undirected edges at it, and removes it (Dor and Tarsi, 1992).
-    Returns the DAG as a pattern with no undirected edges. Raises
-    OrientationError when no such node exists, meaning the pattern admits no
-    consistent extension.
+
+def _extend(pattern) -> tuple[list[int], ...]:
+    """Commit a pattern to one DAG, as a pattern with no undirected edges.
+
+    The orientation rules are closed first; then, for each node a in
+    ascending order, the edge to a's lowest undirected neighbour is directed
+    out of a and the rules closed again, until a has none. Raises
+    OrientationError when the result is cyclic or has a collider the
+    pattern lacks: a pattern closed under the rules that has a consistent
+    extension keeps one under either orientation of any undirected edge
+    (Meek, UAI 1995), so that happens only when it has none.
     """
-    dag = _copy(pattern)
-    adj, und, children, _ = _copy(pattern)
-    alive = (1 << len(adj)) - 1
-    while alive:
-        for x in _bits(alive):
-            if not children[x] and all(
-                not (adj[x] & ~adj[u] & ~(1 << u)) for u in _bits(und[x])
-            ):
-                break
-        else:
-            raise OrientationError("pattern admits no consistent extension")
-        for u in _bits(und[x]):
-            _orient(dag, u, x)
-        keep = ~(1 << x)
-        for v in _bits(adj[x]):
-            adj[v] &= keep
-            und[v] &= keep
-            children[v] &= keep
-        alive &= keep
+    dag = adj, und, children, parents = _copy(pattern)
+    _meek_closure(dag)
+    # Orienting never adds an undirected edge, so the lowest node left with
+    # one has only higher neighbours: its lowest one makes the smallest pair.
+    for a in range(len(und)):
+        while und[a]:
+            _orient(dag, a, next(_bits(und[a])))
+            _meek_closure(dag)
+    # The pattern's colliders stay, so a new one has an edge x -> z that
+    # was undirected, and a parent of z not adjacent to x.
+    if not _acyclic(children) or any(
+        into & ~adj[x] & ~(1 << x)
+        for into, before in zip(parents, pattern[3])
+        for x in _bits(into & ~before)
+    ):
+        raise OrientationError("pattern admits no consistent extension")
     return dag
 
 
@@ -407,16 +417,16 @@ def _apply_knowledge_orientations(
     ``required_from[a]`` and ``forbidden_from[a]`` hold the nodes b of the
     required and forbidden edges a -> b.
     """
-    adj, und, children, _ = pattern
+    _, und, children, _ = pattern
+    # Every required edge is adjacent: it starts in the pattern, a rebuild
+    # keeps the skeleton and no deletion removes it.
     for a, required in enumerate(required_from):
         for b in _bits(required):
-            edge = f"required edge {labels[a]}->{labels[b]}"
             if children[b] >> a & 1:
                 raise OrientationError(
-                    f"{edge} is directed the other way in the pattern"
+                    f"required edge {labels[a]}->{labels[b]} is directed the "
+                    "other way in the pattern"
                 )
-            if not adj[a] >> b & 1:
-                raise OrientationError(f"{edge} has no adjacency in the pattern")
             _orient(pattern, a, b)
     for a, forbidden in enumerate(forbidden_from):
         for b in _bits(und[a] & forbidden):
@@ -429,7 +439,7 @@ def _rebuild(
 ) -> tuple[list[int], ...]:
     """Canonical pattern after an operator: re-derive the equivalence class,
     re-apply knowledge orientations, and close under the orientation rules."""
-    rebuilt = _dag_to_pattern(_consistent_extension(pattern))
+    rebuilt = _dag_to_pattern(_extend(pattern))
     _apply_knowledge_orientations(labels, rebuilt, required_from, forbidden_from)
     _meek_closure(rebuilt)
     return rebuilt
@@ -636,30 +646,8 @@ def orient_to_dag(pattern: Cpdag) -> Dag:
     same skeleton, same unshielded colliders. Raises OrientationError when
     no consistent extension exists.
     """
-    before_colliders = pattern.v_structures()
     masks = _pattern(pattern.n, pattern.directed, pattern.undirected)
-    und = masks[1]
-    _meek_closure(masks)
-    # Orienting never adds an undirected edge, so the lowest node left with
-    # one has only higher neighbours: its lowest one makes the smallest pair.
-    for a in range(pattern.n):
-        while und[a]:
-            _orient(masks, a, next(_bits(und[a])))
-            _meek_closure(masks)
-    try:
-        result = Dag(pattern.labels, _edges(masks)[0])
-    except ValueError as exc:
-        raise OrientationError(f"orientation produced a cycle: {exc}") from exc
-    if dagv_structures(result) != before_colliders:
-        raise OrientationError(
-            "no consistent extension: orientation changed the pattern's colliders"
-        )
-    return result
-
-
-def dagv_structures(graph: Dag) -> frozenset[tuple[int, int, int]]:
-    """Unshielded colliders (x, z, y) of a DAG, with x < y."""
-    return _colliders(_pattern(graph.n, graph.edges))
+    return Dag(pattern.labels, _edges(_extend(masks))[0])
 
 
 def pick_hint_edges(

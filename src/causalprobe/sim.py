@@ -111,8 +111,12 @@ class SimParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.p_probe == 0.0:
-            raise ValueError("p_probe must be positive: no probes, no study")
+        # select_probes draws floor(p_probe * n^2) pairs: none is no study.
+        if math.floor(self.p_probe * self.n * self.n) < 1:
+            raise ValueError(
+                f"p_probe must be at least 1/{self.n * self.n} at n={self.n}, "
+                "or no probe is drawn"
+            )
         # A probe's tolerance, which a probe expectation needs finite.
         if not 0.0 <= self.eps_probe < math.inf:
             raise ValueError("eps_probe must be finite and >= 0")

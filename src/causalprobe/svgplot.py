@@ -40,10 +40,11 @@ def _escape(text: str) -> str:
 
 
 def _axis_range(values: Sequence[float], pad_fraction: float = 0.08):
+    # min and max skip a NaN that is not first, so check every value.
+    if not all(map(math.isfinite, values)):
+        raise ValueError("cannot plot non-finite values")
     lo = min(values)
     hi = max(values)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("cannot plot non-finite values")
     span = hi - lo
     if span == 0.0:
         pad = 0.5 if hi == 0.0 else abs(hi) * 0.5

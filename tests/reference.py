@@ -8,10 +8,13 @@ variable elimination (``bayesnet.true_ate``).
 
 ``ges_reference`` is the greedy equivalence search written plainly: every
 step re-enumerates and re-scores every move of the whole pattern, on
-per-node Python sets. ``meek_closure_reference``,
-``consistent_extension_reference`` and ``rebuild_reference`` are the
-pattern rules and the search's rebuild on the same sets; they share no
-pattern code with the package, whose rules read per-node bitmasks.
+per-node Python sets. ``meek_closure_reference``, ``orient_reference``
+and ``rebuild_reference`` are the pattern rules, the commit of a pattern to
+one DAG and the search's rebuild on the same sets; they share no pattern
+code with the package, whose rules read per-node bitmasks.
+``consistent_extension_reference`` finds an extension by another algorithm
+(Dor and Tarsi) than the package's, so that it and ``rebuild_reference``
+check the package's commit rather than repeat it.
 ``masks``, ``edge_sets`` and ``on_sets`` convert between the two forms.
 """
 
@@ -208,6 +211,28 @@ def consistent_extension_reference(n, directed, undirected):
     return result
 
 
+def orient_reference(n, directed, undirected):
+    """The DAG the package commits a pattern to: close under the rules, then
+    orient the lowest undirected pair low to high, re-closing after each;
+    OrientationError when the result is cyclic or changes the pattern's
+    colliders."""
+    skeleton = {_pair(a, b) for a, b in directed} | set(undirected)
+    result, rest = set(directed), set(undirected)
+    meek_closure_reference(n, result, rest)
+    while rest:
+        _orient(result, rest, *min(rest))
+        meek_closure_reference(n, result, rest)
+    try:
+        Dag([f"v{i}" for i in range(n)], result)
+    except ValueError:
+        raise OrientationError("pattern admits no consistent extension") from None
+    if unshielded_colliders(result, skeleton) != unshielded_colliders(
+        directed, skeleton
+    ):
+        raise OrientationError("pattern admits no consistent extension")
+    return result
+
+
 def unshielded_colliders(directed, skeleton):
     """(x, z, y), x < y, for x -> z <- y with x and y nonadjacent."""
     return {
@@ -218,7 +243,8 @@ def unshielded_colliders(directed, skeleton):
     }
 
 
-def _dag_to_pattern(n, dag_edges):
+def dag_to_pattern_reference(n, dag_edges):
+    """The equivalence-class pattern of a DAG, as (directed, undirected)."""
     skeleton = {_pair(a, b) for a, b in dag_edges}
     directed = {
         (p, z)
@@ -256,7 +282,9 @@ def rebuild_reference(labels, directed, undirected, required, forbidden):
     """The pattern after a search step: the pattern of a consistent
     extension, then the knowledge orientations, closed under the rules."""
     n = len(labels)
-    d2, u2 = _dag_to_pattern(n, consistent_extension_reference(n, directed, undirected))
+    d2, u2 = dag_to_pattern_reference(
+        n, consistent_extension_reference(n, directed, undirected)
+    )
     _apply_knowledge_orientations(labels, d2, u2, required, forbidden)
     meek_closure_reference(n, d2, u2)
     return d2, u2

@@ -202,6 +202,16 @@ class TestSimulate:
         assert len(records) == 6
         assert (tmp_path / "runs.jsonl").exists()
 
+    def test_p_probe_that_draws_no_probe_is_usage_error(self, tmp_path, capsys):
+        # floor(0.1 * 3^2) = 0 probes: rejected before any run.
+        argv = ["simulate", "--n", "3", "--p-edge", "0.9", "--p-probe", "0.1",
+                "--runs", "2", "--threads", "1", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: p_probe must be at least 1/9 at n=3, or no probe is drawn\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_byte_identical_across_invocations_and_threads(
         self, tmp_path, capsys
     ):
@@ -590,6 +600,21 @@ class TestPlot:
         assert main(["plot", runs, "--kind", kind, "--output", out]) == 1
         assert capsys.readouterr().err == f"error: {runs}: holds no completed run\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_nan_in_any_row_is_data_error(self, tmp_path, capsys, row):
+        _, agg = seed_plot_files(tmp_path)
+        lines = Path(agg).read_text(encoding="utf-8").split("\n")
+        cells = lines[row].split(",")
+        cells[2] = "nan"  # mean_abs_err
+        lines[row] = ",".join(cells)
+        Path(agg).write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "x.svg"
+        capsys.readouterr()
+        rc = main(["plot", agg, "--kind", "means", "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot plot non-finite values\n"
+        assert not out.exists()
 
     def test_unrecognized_header_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -7,12 +7,11 @@ import pytest
 from causalprobe.bayesnet import Cbn, Cpd, random_cpds, sample
 from causalprobe.dataset import BinaryDataset
 from causalprobe.discovery import (
-    _consistent_extension,
+    _extend,
     _Scorer,
     Cpdag,
     Knowledge,
     dag_to_cpdag,
-    dagv_structures,
     format_knowledge,
     ges,
     orient_to_dag,
@@ -297,7 +296,7 @@ class TestOrientToDag:
         )
         out = orient_to_dag(p)
         assert (3, 2) in out.edges
-        assert dagv_structures(out) == frozenset()
+        assert unshielded_colliders(out.edges, p.skeleton()) == set()
 
     def test_consistent_extension_properties(self):
         rng = np.random.default_rng(41)
@@ -306,7 +305,7 @@ class TestOrientToDag:
             p = dag_to_cpdag(g)
             out = orient_to_dag(p)
             assert {(min(e), max(e)) for e in out.edges} == set(p.skeleton())
-            assert dagv_structures(out) == p.v_structures()
+            assert unshielded_colliders(out.edges, p.skeleton()) == p.v_structures()
             assert dag_to_cpdag(out) == p
 
     def test_forbidden_direction_is_not_chosen(self):
@@ -339,7 +338,7 @@ class TestConsistentExtension:
 
     def check(self, n, directed, undirected):
         """Compare against brute force; True iff an extension exists."""
-        extend = on_sets(_consistent_extension)
+        extend = on_sets(_extend)
         if not self.has_extension(n, directed, undirected):
             with pytest.raises(OrientationError):
                 extend(n, set(directed), set(undirected))

@@ -138,6 +138,12 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(p_probe=0.0)
 
+    def test_p_probe_that_draws_no_probe_rejected(self):
+        # floor(0.1 * 3^2) = 0 probes; 1/9 draws one.
+        with pytest.raises(ValueError, match=r"p_probe must be at least 1/9 at n=3"):
+            SimParams(n=3, p_probe=0.1)
+        assert SimParams(n=3, p_probe=1 / 9).p_probe == 1 / 9
+
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             SimParams(n=1)

@@ -40,6 +40,21 @@ class TestScatter:
         assert "<circle " in svg
 
 
+@pytest.mark.parametrize("draw", [scatter_svg, means_svg])
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.5, math.nan), (0.7, 1.0)],
+        [(0.5, 1.0), (0.7, math.nan)],
+        [(math.nan, 1.0), (0.7, 1.0)],
+        [(0.5, 1.0), (math.nan, 1.0)],
+    ],
+)
+def test_nan_in_any_position_rejected(draw, points):
+    with pytest.raises(ValueError, match="cannot plot non-finite values"):
+        draw(points, "x", "y", "t")
+
+
 class TestMeans:
     def test_polyline_connects_sorted_points(self):
         svg = means_svg([(1.0, 0.1), (0.5, 0.3)], "x", "y", "t")

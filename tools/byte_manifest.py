@@ -14,9 +14,12 @@ and without ``--flip-knowledge``. One more command (``ges-patterns``)
 prints the pattern ``ges`` returns on each of 400 seeded networks of 2 to 8
 nodes with required and forbidden knowledge; on every fourth network one
 column duplicates another and one is constant, so that moves tie exactly.
-The last (``orient-dags``) prints, on the same networks, the edges of the
+Another (``orient-dags``) prints, on the same networks, the edges of the
 DAG ``orient_to_dag`` commits that pattern to, and the pattern
-``dag_to_cpdag`` gives the true DAG.
+``dag_to_cpdag`` gives the true DAG. The last (``orient-pdags``) prints
+the DAG ``orient_to_dag`` commits each of 2,000 seeded partially directed
+graphs of 2 to 9 nodes to, or ``no extension`` where it raises, as it does
+for about a third of them.
 Each output file and each command's stdout gets one ``<sha256>  <name>``
 line; a stdout digest also covers the exit code.
 
@@ -107,6 +110,30 @@ ORIENT_DAGS = (
     SEARCH_NETWORKS
     + "    print(seed, sorted(orient_to_dag(found).edges), dag_to_cpdag(g))\n"
 )
+# Each forward pair of a random order is absent, directed forward or
+# undirected, the absent share cycling through 0.2, 0.5 and 0.8.
+ORIENT_PDAGS = """\
+import numpy as np
+from causalprobe.discovery import Cpdag, orient_to_dag
+from causalprobe.errors import OrientationError
+for seed in range(2000):
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 8
+    absent = (0.2, 0.5, 0.8)[seed % 3]
+    half = (1 - absent) / 2
+    order = [int(v) for v in rng.permutation(n)]
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    kinds = rng.choice(3, size=len(pairs), p=(absent, half, half))
+    pattern = Cpdag(
+        [f"v{i}" for i in range(n)],
+        [pair for pair, kind in zip(pairs, kinds) if kind == 1],
+        [pair for pair, kind in zip(pairs, kinds) if kind == 2],
+    )
+    try:
+        print(seed, sorted(orient_to_dag(pattern).edges))
+    except OrientationError:
+        print(seed, "no extension")
+"""
 RUN_CLI = "import sys; from causalprobe.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -197,6 +224,7 @@ def manifest(root: Path) -> tuple[dict[str, bytes], list[str]]:
     outputs.update(_step(root, "demo-flipped", RUN_CLI, "demo-sprinkler", "--flip-knowledge"))
     outputs.update(_step(root, "ges-patterns", GES_PATTERNS))
     outputs.update(_step(root, "orient-dags", ORIENT_DAGS))
+    outputs.update(_step(root, "orient-pdags", ORIENT_PDAGS))
     return outputs, mismatched
 
 
